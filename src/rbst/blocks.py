@@ -46,7 +46,7 @@ class ChildRef:
 
 
 class BlockNode:
-    __slots__ = ("keys", "children", "parent", "depth", "fanout", "label", "aux_bounds")
+    __slots__ = ("keys", "children", "parent", "depth", "fanout", "label")
 
     def __init__(self, keys, children, parent, depth, fanout, label):
         self.keys = keys              # sorted ascending
@@ -55,7 +55,6 @@ class BlockNode:
         self.depth = depth
         self.fanout = fanout          # stored fan-out of this subtree
         self.label = label            # minimum-priority key of `keys`
-        self.aux_bounds = None        # transient scratch for staged builds, never serialized
 
     def copy(self) -> "BlockNode":
         return BlockNode(

@@ -107,6 +107,8 @@ class Tree:
         return self.store.image_bytes(self.header())
 
     def save(self, path: str) -> None:
+        if not isinstance(self.prio, HashedPriority):
+            raise ConfigError("an image persists only a hash seed; explicit ranks would be lost")
         save_image(path, self.store, self.header())
 
     @classmethod

@@ -171,7 +171,6 @@ class BlockStore:
         self._stats.frees += len(obsolete)
         for handle in staged:
             node = self.aux.pop(handle.id)
-            node.aux_bounds = None
             self.blocks[node.label] = node
             self._stats.writes += 1
 

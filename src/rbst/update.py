@@ -13,9 +13,13 @@ Ancestor blocks on the search path keep their layout but carry a child
 weight that changed by one; those are in-place field rewrites, applied
 bottom-up after all commits, and reported separately in the receipt.
 
-Main-memory discipline: scans and rebuild recursion are driven through
-parent references with a cursor, so the number of simultaneously pinned
-blocks stays constant regardless of tree size.
+Insert, delete and the dry run `locate_rebuild` share one case decision
+per block on the search path (`_classify`).
+
+Main-memory discipline: scans are driven through parent references with a
+cursor and rebuilds through an explicit stack of staged blocks, so the
+number of simultaneously pinned blocks stays constant regardless of tree
+size.
 """
 
 from __future__ import annotations
@@ -243,15 +247,14 @@ def _bin_pass(ctx: _Ctx, sources, lo: int, hi: int, bounds: list[int],
 
 
 class _BuildState:
-    __slots__ = ("sources", "include", "exclude", "floor", "specs", "idx")
+    __slots__ = ("sources", "include", "exclude", "floor", "specs")
 
     def __init__(self, sources, include, exclude, floor, specs):
         self.sources = sources
         self.include = include
         self.exclude = exclude
         self.floor = floor      # priority of the block's own array maximum
-        self.specs = specs      # (slot, lo, hi, weight) pending child sections
-        self.idx = 0
+        self.specs = iter(specs)  # (slot, lo, hi, weight) pending child sections
 
 
 def _assemble(ctx: _Ctx, lo: int, hi: int, weight: int, sources, include, exclude,
@@ -328,7 +331,7 @@ def _build_chain(ctx: _Ctx, lo: int, hi: int, weight: int, sources, include, exc
 
 def _build_fresh(ctx: _Ctx, lo: int, hi: int, weight: int, sources, include, exclude,
                  parent: int | None, depth: int, floor=None) -> int | None:
-    """Stage a complete subtree for (lo, hi); cursor-driven, returns root label."""
+    """Stage a complete subtree for (lo, hi); stack-driven, returns root label."""
     if weight == 0:
         for src in sources:
             ctx.collect_subtree(src)
@@ -342,36 +345,29 @@ def _build_fresh(ctx: _Ctx, lo: int, hi: int, weight: int, sources, include, exc
                                  floor, parent, depth)
     ctx.stage(root_node)
     root_floor = max(prio.priority(k) for k in root_node.keys)
-    root_node.aux_bounds = _BuildState(sources, include, exclude, root_floor, specs)
-    index = {root_node.label: root_node}
-    cur = root_node
-    while True:
-        st: _BuildState = cur.aux_bounds
-        if st.idx < len(st.specs):
-            slot, slo, shi, w = st.specs[st.idx]
-            st.idx += 1
-            inc_child = [k for k in st.include
-                         if slo < k < shi and prio.priority(k) > st.floor]
-            want = cur.children[slot].label
-            if w > alpha and fanout_bound(w, ctx.params) <= 1:
-                got = _build_chain(ctx, slo, shi, w, st.sources, inc_child, st.exclude,
-                                   st.floor, cur.label, cur.depth + 1)
-                assert got == want, "chain head label drifted from the parent slot"
-                continue
-            child, child_specs = _assemble(ctx, slo, shi, w, st.sources, inc_child,
-                                           st.exclude, st.floor, cur.label, cur.depth + 1)
-            assert child.label == want, "child label drifted from the parent slot"
-            ctx.stage(child)
-            child_floor = max(prio.priority(k) for k in child.keys)
-            child.aux_bounds = _BuildState(st.sources, inc_child, st.exclude,
-                                           child_floor, child_specs)
-            index[child.label] = child
-            cur = child
-        else:
-            cur.aux_bounds = None
-            if cur is root_node:
-                break
-            cur = index[cur.parent]
+    stack = [(root_node, _BuildState(sources, include, exclude, root_floor, specs))]
+    while stack:
+        cur, st = stack[-1]
+        spec = next(st.specs, None)
+        if spec is None:
+            stack.pop()
+            continue
+        slot, slo, shi, w = spec
+        inc_child = [k for k in st.include
+                     if slo < k < shi and prio.priority(k) > st.floor]
+        want = cur.children[slot].label
+        if w > alpha and fanout_bound(w, ctx.params) <= 1:
+            got = _build_chain(ctx, slo, shi, w, st.sources, inc_child, st.exclude,
+                               st.floor, cur.label, cur.depth + 1)
+            assert got == want, "chain head label drifted from the parent slot"
+            continue
+        child, child_specs = _assemble(ctx, slo, shi, w, st.sources, inc_child,
+                                       st.exclude, st.floor, cur.label, cur.depth + 1)
+        assert child.label == want, "child label drifted from the parent slot"
+        ctx.stage(child)
+        child_floor = max(prio.priority(k) for k in child.keys)
+        stack.append((child, _BuildState(st.sources, inc_child, st.exclude,
+                                         child_floor, child_specs)))
     return root_node.label
 
 
@@ -452,6 +448,7 @@ def _run_anchor(ctx: _Ctx, node: BlockNode, lo: int, hi: int, n_new: int,
     prio = ctx.prio
     alpha = ctx.alpha
     if not new_arr:
+        ctx.relabels[node.label] = None
         ctx.mark_obsolete(node.label, node.depth)
         ctx.commit_site()
         return None
@@ -610,9 +607,71 @@ def _list_delete(ctx: _Ctx, head_label: int, key: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _check_key(key: int) -> None:
+def _check_update(tree: Tree, key: int, op: str) -> None:
+    """Refuse a key outside u64, an insert of a present key or a delete of a missing one."""
     if not 0 <= key <= MASK64:
         raise ConfigError(f"key {key} outside the u64 universe")
+    present = tree.root is not None and successor(tree, key) == key
+    if op == "insert" and present:
+        raise DuplicateKeyError(f"key {key} already present")
+    if op == "delete" and not present:
+        raise MissingKeyError(f"key {key} not present")
+
+
+def _classify(tree: Tree, node: BlockNode, n_sub: int, key: int, pi_x, op: str):
+    """The update's decision at one block on the search path.
+
+    None means the block keeps its array and fan-out and the descent
+    passes it.  Otherwise (case, new_arr, adds, removes, key_below): a
+    list case hands the block to the chain pass, any other case makes it
+    the anchor that `_run_anchor` rebuilds with these arguments.
+    """
+    prio, params = tree.prio, tree.params
+    d_old = node.fanout
+    if op == "insert":
+        d_new = fanout_bound(n_sub + 1, params)
+        p_max = max(prio.priority(k) for k in node.keys)
+        in_array = n_sub < params.alpha or pi_x < p_max
+        if in_array and not (d_old <= 1 and d_new <= 1):
+            y = max(node.keys, key=prio.priority) if n_sub >= params.alpha else None
+            pushed = [] if y is None else [y]
+            new_arr = [k for k in node.keys if k != y] + [key]
+            # the key is never an interval end, so membership tests the separators
+            active = key in _new_bounds(prio, new_arr, d_new, NEG_INF, POS_INF)
+            case = CASE_IN_ARRAY_ACTIVE if active else CASE_IN_ARRAY_INACTIVE
+            return case, new_arr, pushed, [], None
+        if not in_array and d_new > d_old:
+            return CASE_FANOUT_INCREASE, list(node.keys), [], [], key
+        if d_old <= 1:
+            return CASE_LIST_INSERT, [], [], [], key
+        return None
+    d_new = fanout_bound(n_sub - 1, params)
+    if d_old <= 1:
+        return CASE_LIST_DELETE, [], [], [], key
+    if key in node.keys:
+        child_labels = [c.label for c in node.children if c is not None]
+        pulled = [min(child_labels, key=prio.priority)] if child_labels else []
+        new_arr = [k for k in node.keys if k != key] + pulled
+        return CASE_IN_ARRAY_DELETE, new_arr, [], pulled, None
+    if d_new < d_old:
+        return CASE_FANOUT_DECREASE, list(node.keys), [], [], key
+    return None
+
+
+def _follow(node: BlockNode, prio, key: int, lo: int, hi: int):
+    """(child ref or None, sub_lo, sub_hi) of the section the key falls into."""
+    seps = active_separators(node, prio)
+    j = bisect_right(seps, key)
+    bounds = [lo] + seps + [hi]
+    return node.children[j], bounds[j], bounds[j + 1]
+
+
+def _stage_leaf(ctx: _Ctx, key: int, parent: int | None, depth: int) -> None:
+    leaf = BlockNode([key], [None] * (ctx.alpha + 1), parent, depth,
+                     fanout_bound(1, ctx.params), key)
+    ctx.stage(leaf)
+    ctx.commit_site()
+    ctx.cases.append(CASE_LIST_NEW_BLOCK)
 
 
 def _apply_path_fixes(ctx: _Ctx, delta: int) -> None:
@@ -650,122 +709,59 @@ def _finish(ctx: _Ctx, op: str, key: int, before, delta: int) -> UpdateReceipt:
     return ctx.receipt(op, key, before)
 
 
-def insert(tree: Tree, key: int) -> UpdateReceipt:
-    """Insert a key; the resulting image equals a fresh build of the new set."""
-    _check_key(key)
-    if tree.root is not None and successor(tree, key) == key:
-        raise DuplicateKeyError(f"key {key} already present")
+def _update(tree: Tree, key: int, op: str) -> UpdateReceipt:
+    """Greedy top-down descent that rebuilds at the blocks `_classify` picks."""
+    _check_update(tree, key, op)
     before = tree.store.stats()
     ctx = _Ctx(tree)
-    prio, alpha = tree.prio, tree.params.alpha
+    delta = 1 if op == "insert" else -1
     if tree.root is None:
-        leaf = BlockNode([key], [None] * (alpha + 1), None, 0,
-                         fanout_bound(1, tree.params), key)
-        ctx.stage(leaf)
-        ctx.commit_site()
-        ctx.cases.append(CASE_LIST_NEW_BLOCK)
+        _stage_leaf(ctx, key, None, 0)
         tree.root = key
-        tree.n = 1
-        return ctx.receipt("insert", key, before)
-    pi_x = prio.priority(key)
+        return _finish(ctx, op, key, before, delta)
+    pi_x = tree.prio.priority(key) if op == "insert" else None
     cur, n_sub, lo, hi = tree.root, tree.n, NEG_INF, POS_INF
     while True:
         node = tree.store.read(cur)
         tree.store.release(cur)
-        d_old = node.fanout
-        d_new = fanout_bound(n_sub + 1, tree.params)
-        p_max = max(prio.priority(k) for k in node.keys)
-        in_array = n_sub < alpha or pi_x < p_max
-        if in_array and not (d_old <= 1 and d_new <= 1):
-            y = max(node.keys, key=prio.priority) if n_sub >= alpha else None
-            new_arr = [k for k in node.keys if k != y] + [key]
-            seps_new = _new_bounds(prio, new_arr, d_new, lo, hi)[1:-1]
-            ctx.cases.append(
-                CASE_IN_ARRAY_ACTIVE if key in seps_new else CASE_IN_ARRAY_INACTIVE
-            )
-            _run_anchor(ctx, node, lo, hi, n_sub + 1, new_arr,
-                        adds=[y] if y is not None else [], removes=[],
-                        key_below=None, op="insert")
-            break
-        if not in_array and d_new > d_old:
-            ctx.cases.append(CASE_FANOUT_INCREASE)
-            cont = _run_anchor(ctx, node, lo, hi, n_sub + 1, list(node.keys),
-                               adds=[], removes=[], key_below=key, op="insert")
-            if cont is None:
+        step = _classify(tree, node, n_sub, key, pi_x, op)
+        if step is None:
+            child, lo, hi = _follow(node, tree.prio, key, lo, hi)
+            if child is None:
+                if op == "delete":
+                    raise MissingKeyError(f"key {key} not present")
+                _stage_leaf(ctx, key, node.label, node.depth + 1)
+                ctx.path.append((node.label, None, key))
                 break
-            ref, slo, shi = cont
-            ctx.path.append((node.label, ref.label, key))
-            cur, n_sub, lo, hi = ref.label, ref.weight, slo, shi
+            ctx.path.append((node.label, child.label, key))
+            cur, n_sub = child.label, child.weight
             continue
-        if d_old <= 1:
-            ctx.cases.append(CASE_LIST_INSERT)
+        case, new_arr, adds, removes, key_below = step
+        ctx.cases.append(case)
+        if case == CASE_LIST_INSERT:
             _list_insert(ctx, cur, key)
             break
-        seps = active_separators(node, prio)
-        j = bisect_right(seps, key)
-        child = node.children[j]
-        if child is None:
-            leaf = BlockNode([key], [None] * (alpha + 1), node.label, node.depth + 1,
-                             fanout_bound(1, tree.params), key)
-            ctx.stage(leaf)
-            ctx.commit_site()
-            ctx.path.append((node.label, None, key))
-            ctx.cases.append(CASE_LIST_NEW_BLOCK)
+        if case == CASE_LIST_DELETE:
+            _list_delete(ctx, cur, key)
             break
-        bounds = [lo] + seps + [hi]
-        ctx.path.append((node.label, child.label, key))
-        cur, n_sub, lo, hi = child.label, child.weight, bounds[j], bounds[j + 1]
-    return _finish(ctx, "insert", key, before, +1)
+        cont = _run_anchor(ctx, node, lo, hi, n_sub + delta, new_arr,
+                           adds, removes, key_below, op)
+        if cont is None:
+            break
+        ref, lo, hi = cont
+        ctx.path.append((node.label, ref.label, key))
+        cur, n_sub = ref.label, ref.weight
+    return _finish(ctx, op, key, before, delta)
+
+
+def insert(tree: Tree, key: int) -> UpdateReceipt:
+    """Insert a key; the resulting image equals a fresh build of the new set."""
+    return _update(tree, key, "insert")
 
 
 def delete(tree: Tree, key: int) -> UpdateReceipt:
     """Delete a key; the resulting image equals a fresh build of the new set."""
-    _check_key(key)
-    if tree.root is None or successor(tree, key) != key:
-        raise MissingKeyError(f"key {key} not present")
-    before = tree.store.stats()
-    ctx = _Ctx(tree)
-    prio, alpha = tree.prio, tree.params.alpha
-    cur, n_sub, lo, hi = tree.root, tree.n, NEG_INF, POS_INF
-    while True:
-        node = tree.store.read(cur)
-        tree.store.release(cur)
-        d_old = node.fanout
-        d_new = fanout_bound(n_sub - 1, tree.params)
-        if d_old <= 1:
-            ctx.cases.append(CASE_LIST_DELETE)
-            _list_delete(ctx, cur, key)
-            break
-        if key in node.keys:
-            ctx.cases.append(CASE_IN_ARRAY_DELETE)
-            child_labels = [c.label for c in node.children if c is not None]
-            z = min(child_labels, key=prio.priority) if child_labels else None
-            new_arr = [k for k in node.keys if k != key] + ([z] if z is not None else [])
-            if not new_arr:
-                ctx.relabels[node.label] = None
-            _run_anchor(ctx, node, lo, hi, n_sub - 1, new_arr,
-                        adds=[], removes=[z] if z is not None else [],
-                        key_below=None, op="delete")
-            break
-        if d_new < d_old:
-            ctx.cases.append(CASE_FANOUT_DECREASE)
-            cont = _run_anchor(ctx, node, lo, hi, n_sub - 1, list(node.keys),
-                               adds=[], removes=[], key_below=key, op="delete")
-            if cont is None:
-                break
-            ref, slo, shi = cont
-            ctx.path.append((node.label, ref.label, key))
-            cur, n_sub, lo, hi = ref.label, ref.weight, slo, shi
-            continue
-        seps = active_separators(node, prio)
-        j = bisect_right(seps, key)
-        child = node.children[j]
-        if child is None:
-            raise MissingKeyError(f"key {key} not present")
-        bounds = [lo] + seps + [hi]
-        ctx.path.append((node.label, child.label, key))
-        cur, n_sub, lo, hi = child.label, child.weight, bounds[j], bounds[j + 1]
-    return _finish(ctx, "delete", key, before, -1)
+    return _update(tree, key, "delete")
 
 
 # ---------------------------------------------------------------------------
@@ -797,87 +793,40 @@ def top(tree: Tree, k: int, root_label: int, lo: int, hi: int):
     return keys_by_pi, gaps
 
 
-
-
-def _rebuilt_sections(secs: list[PlanSection]) -> list[PlanSection]:
-    """Sections that change content: not reused and not empty no-ops."""
-    return [s for s in secs
-            if s.reuse is None and (s.weight > 0 or s.sources)]
-
 def locate_rebuild(tree: Tree, key: int, op: str = "insert") -> RebuildPlan:
     """Dry-run descent: the first anchor the update for `key` would rebuild."""
-    _check_key(key)
     if op not in ("insert", "delete"):
         raise ConfigError(f"op {op!r} not insert/delete")
-    present = tree.root is not None and successor(tree, key) == key
-    if op == "insert" and present:
-        raise DuplicateKeyError(f"key {key} already present")
-    if op == "delete" and not present:
-        raise MissingKeyError(f"key {key} not present")
-    ctx = _Ctx(tree)
-    prio, alpha = tree.prio, tree.params.alpha
+    _check_update(tree, key, op)
     if tree.root is None:
         return RebuildPlan(op, key, CASE_LIST_NEW_BLOCK, None, 0,
                            (NEG_INF, POS_INF), [])
-    pi_x = prio.priority(key)
+    pi_x = tree.prio.priority(key) if op == "insert" else None
     cur, n_sub, lo, hi, depth = tree.root, tree.n, NEG_INF, POS_INF, 0
     while True:
         node = tree.store.read(cur)
         tree.store.release(cur)
-        d_old = node.fanout
-        n_next = n_sub + 1 if op == "insert" else n_sub - 1
-        d_new = fanout_bound(n_next, tree.params)
-        p_max = max(prio.priority(k) for k in node.keys)
-        if op == "insert":
-            in_array = n_sub < alpha or pi_x < p_max
-            if in_array and not (d_old <= 1 and d_new <= 1):
-                y = max(node.keys, key=prio.priority) if n_sub >= alpha else None
-                new_arr = [k for k in node.keys if k != y] + [key]
-                seps_new = _new_bounds(prio, new_arr, d_new, lo, hi)[1:-1]
-                case = CASE_IN_ARRAY_ACTIVE if key in seps_new else CASE_IN_ARRAY_INACTIVE
-                secs = _diff_sections(ctx, node, lo, hi, new_arr, d_new,
-                                      [y] if y is not None else [], [])
-                return RebuildPlan(op, key, case, cur, depth, (lo, hi),
-                                   _rebuilt_sections(secs), carry=y)
-            if not in_array and d_new > d_old:
-                secs = _diff_sections(ctx, node, lo, hi, list(node.keys), d_new, [], [])
-                rebuilds = _rebuilt_sections(secs)
-                descends = None
-                bounds = _new_bounds(prio, list(node.keys), d_new, lo, hi)
-                j = bisect_right(bounds[1:-1], key)
-                if secs[j].reuse is not None:
-                    descends = secs[j].reuse.label
-                return RebuildPlan(op, key, CASE_FANOUT_INCREASE, cur, depth, (lo, hi),
-                                   rebuilds, carry=None if descends else key,
-                                   descends_into=descends)
-            if d_old <= 1:
-                return RebuildPlan(op, key, CASE_LIST_INSERT, cur, depth, (lo, hi), [])
-        else:
-            if d_old <= 1:
-                return RebuildPlan(op, key, CASE_LIST_DELETE, cur, depth, (lo, hi), [])
-            if key in node.keys:
-                child_labels = [c.label for c in node.children if c is not None]
-                z = min(child_labels, key=prio.priority) if child_labels else None
-                new_arr = [k for k in node.keys if k != key] + ([z] if z else [])
-                secs = _diff_sections(ctx, node, lo, hi, new_arr, d_new, [],
-                                      [z] if z is not None else [])
-                return RebuildPlan(op, key, CASE_IN_ARRAY_DELETE, cur, depth, (lo, hi),
-                                   _rebuilt_sections(secs), carry=z)
-            if d_new < d_old:
-                secs = _diff_sections(ctx, node, lo, hi, list(node.keys), d_new, [], [])
-                rebuilds = _rebuilt_sections(secs)
-                descends = None
-                bounds = _new_bounds(prio, list(node.keys), d_new, lo, hi)
-                j = bisect_right(bounds[1:-1], key)
-                if secs[j].reuse is not None:
-                    descends = secs[j].reuse.label
-                return RebuildPlan(op, key, CASE_FANOUT_DECREASE, cur, depth, (lo, hi),
-                                   rebuilds, carry=None if descends else key,
-                                   descends_into=descends)
-        seps = active_separators(node, prio)
-        j = bisect_right(seps, key)
-        child = node.children[j]
+        step = _classify(tree, node, n_sub, key, pi_x, op)
+        if step is not None:
+            break
+        child, sub_lo, sub_hi = _follow(node, tree.prio, key, lo, hi)
         if child is None:
             return RebuildPlan(op, key, CASE_LIST_NEW_BLOCK, cur, depth, (lo, hi), [])
-        bounds = [lo] + seps + [hi]
-        cur, n_sub, lo, hi, depth = child.label, child.weight, bounds[j], bounds[j + 1], depth + 1
+        cur, n_sub, lo, hi, depth = child.label, child.weight, sub_lo, sub_hi, depth + 1
+    case, new_arr, adds, removes, key_below = step
+    plan = RebuildPlan(op, key, case, cur, depth, (lo, hi), [])
+    if case in (CASE_LIST_INSERT, CASE_LIST_DELETE):
+        return plan
+    d_new = fanout_bound(n_sub + (1 if op == "insert" else -1), tree.params)
+    secs = _diff_sections(_Ctx(tree), node, lo, hi, new_arr, d_new, adds, removes)
+    # sections that change content: not reused and not empty no-ops
+    plan.sections = [s for s in secs if s.reuse is None and (s.weight > 0 or s.sources)]
+    if key_below is None:
+        plan.carry = next(iter(adds + removes), None)
+        return plan
+    landing = next(s for s in secs if s.lo < key_below < s.hi)
+    if landing.reuse is not None:
+        plan.descends_into = landing.reuse.label
+    else:
+        plan.carry = key_below
+    return plan

@@ -3,10 +3,10 @@ import pytest
 from rbst import BlockStore, Params, Tree, insert
 from rbst.blocks import BlockNode, ChildRef, pack_record, record_size, unpack_record
 from rbst.errors import (
-    AccountingError, CorruptionError, FormatError, InvalidBlockError, NotFoundError,
+    AccountingError, ConfigError, CorruptionError, FormatError, InvalidBlockError, NotFoundError,
 )
 from rbst.oracle import oracle_tree
-from rbst.priority import HashedPriority
+from rbst.priority import ExplicitPriority, HashedPriority
 from rbst.store import parse_image
 
 
@@ -156,6 +156,18 @@ def test_image_roundtrip_100_keys(tmp_path, rng):
     again = Tree.load(str(path))
     assert again.image() == tree.image()
     assert again.n == tree.n and again.root == tree.root
+
+
+def test_save_refuses_explicit_priorities(tmp_path):
+    # the image stores a seed, not ranks: such a tree would reload with other priorities
+    keys = [3, 9, 14, 20, 27, 31, 40]
+    tree = Tree(BlockStore(2), Params.explicit(2, 1), ExplicitPriority.from_order(keys[::-1]))
+    for k in keys:
+        insert(tree, k)
+    path = tmp_path / "t.rbst"
+    with pytest.raises(ConfigError):
+        tree.save(str(path))
+    assert not path.exists()
 
 
 def test_image_bad_magic(tmp_path):

@@ -3,12 +3,14 @@ import random
 import pytest
 
 from rbst import BlockStore, Params, Tree, check_invariants, delete, insert, top
+from rbst.core import active_separators
 from rbst.errors import ConfigError, DuplicateKeyError, MissingKeyError
 from rbst.oracle import oracle_build
 from rbst.priority import ExplicitPriority, HashedPriority
 from rbst.store import parse_image
 from rbst.update import (
-    CASE_FANOUT_DECREASE, CASE_FANOUT_INCREASE, CASE_LIST_NEW_BLOCK, locate_rebuild,
+    CASE_FANOUT_DECREASE, CASE_FANOUT_INCREASE, CASE_IN_ARRAY_DELETE, CASE_LIST_NEW_BLOCK,
+    locate_rebuild,
 )
 
 from conftest import build_by_inserts, grid_params
@@ -269,6 +271,23 @@ def test_observation_audit_constants(alpha, rho):
         assert r.reads <= 4 * (r.m_prime + r.d_prime * r.m) + 4, r
 
 
+def _planned_update(tree, k, op):
+    # run the dry-run plan, then the update it previews, and check they agree
+    plan = locate_rebuild(tree, k, op)
+    r = (insert if op == "insert" else delete)(tree, k)
+    assert r.cases[0] == plan.case
+    if plan.case.startswith("fanout"):
+        assert (plan.carry is None) == (plan.descends_into is not None), plan
+    if plan.case == CASE_IN_ARRAY_DELETE:
+        # rebuilt sections lie between consecutive separators of the new anchor
+        new = [tree.store.peek(l) for l in r.staged_labels
+               if tree.store.peek(l).depth == plan.depth]
+        seps = active_separators(new[0], tree.prio) if new else []
+        bounds = [plan.interval[0]] + seps + [plan.interval[1]]
+        assert {(s.lo, s.hi) for s in plan.sections} <= set(zip(bounds, bounds[1:])), plan
+    return plan
+
+
 def test_case_frequency_cross_check(rng):
     # every update's plan case must be consistent with what actually changed
     params = Params.explicit(2, 2)
@@ -278,21 +297,29 @@ def test_case_frequency_cross_check(rng):
     for i in range(400):
         if present and rng.random() < 0.45:
             k = present.pop(rng.randrange(len(present)))
-            plan = locate_rebuild(tree, k, "delete")
-            r = delete(tree, k)
+            plan = _planned_update(tree, k, "delete")
         else:
             k = rng.randrange(1 << 26)
             if k in present:
                 continue
-            plan = locate_rebuild(tree, k, "insert")
             present.append(k)
-            r = insert(tree, k)
+            plan = _planned_update(tree, k, "insert")
         counts[plan.case] = counts.get(plan.case, 0) + 1
-        assert r.cases[0] == plan.case
     # the workload must have exercised list, in-array, and fan-out cases
     assert any(c.startswith("list") for c in counts)
     assert any(c.startswith("in-array") for c in counts)
     assert any(c.startswith("fanout") for c in counts)
+    # key 0 is a legal key and block label: small trees that hold it
+    for trial in range(60):
+        params = Params.explicit(rng.choice((1, 2, 3)), rng.choice((1, 2)))
+        keys = [0] + rng.sample(range(1, 200), rng.randrange(4, 40))
+        rng.shuffle(keys)
+        tree = Tree.empty(params, seed=trial)
+        for k in keys:
+            _planned_update(tree, k, "insert")
+        for k in rng.sample(keys, len(keys)):
+            _planned_update(tree, k, "delete")
+    assert tree.n == 0
 
 
 @pytest.mark.parametrize("alpha,rho", [(1, 0), (2, 0), (3, 1), (3, 2)])
