@@ -62,9 +62,6 @@ class BlockNode:
             self.depth, self.fanout, self.label,
         )
 
-    def subtree_weight(self) -> int:
-        return len(self.keys) + sum(c.weight for c in self.children if c is not None)
-
     def local_violation(self, alpha: int) -> str | None:
         """Check invariants visible from the block alone; None when clean."""
         if len(self.children) != alpha + 1:

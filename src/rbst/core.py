@@ -425,9 +425,10 @@ def check_invariants(tree: Tree) -> InvariantReport:
     if tree.n == 0:
         bad.append("tree: n=0 with a root present")
 
-    def walk(label: int, weight: int, parent: int | None, depth: int,
-             lo: int, hi: int) -> int:
-        """Returns the true key count of the subtree; appends violations."""
+    def visit(label: int, weight: int, parent: int | None, depth: int, lo: int, hi: int):
+        """Appends one block's violations.  A generator, run on an explicit stack
+        because chains can outgrow the recursion limit: yields the arguments
+        of each child's visit, is sent back its true count, returns its own."""
         if label in seen:
             bad.append(f"block {label}: reachable twice")
             return 0
@@ -461,16 +462,6 @@ def check_invariants(tree: Tree) -> InvariantReport:
         p_max = max(prio.priority(k) for k in node.keys)
         count = len(node.keys)
 
-        def child_walk(child: "object", clo: int, chi: int) -> None:
-            nonlocal count
-            true = walk(child.label, child.weight, label, depth + 1, clo, chi)
-            if true != child.weight:
-                bad.append(
-                    f"block {label}: slot weight {child.weight} for child "
-                    f"{child.label}, true count {true}"
-                )
-            count += true
-
         if node.fanout <= 1:
             for i, child in enumerate(node.children):
                 if i > 0 and child is not None:
@@ -486,7 +477,7 @@ def check_invariants(tree: Tree) -> InvariantReport:
                         f"block {label}: chain weight {child.weight}, "
                         f"want {weight - len(node.keys)}"
                     )
-                child_walk(child, lo, hi)
+                count += yield child.label, child.weight, label, depth + 1, lo, hi
             elif weight > alpha:
                 bad.append(f"block {label}: missing chain for weight {weight}")
         else:
@@ -505,14 +496,28 @@ def check_invariants(tree: Tree) -> InvariantReport:
                     bad.append(
                         f"block {label}: child {child.label} has priority below the array"
                     )
-                child_walk(child, bounds[i], bounds[i + 1])
+                count += yield (child.label, child.weight, label, depth + 1,
+                                bounds[i], bounds[i + 1])
         return count
 
     root_node = store.peek(tree.root) if tree.root in store.blocks else None
     if root_node is None:
         bad.append(f"tree: root label {tree.root} not in store")
         return InvariantReport(False, bad)
-    total = walk(tree.root, tree.n, None, 0, NEG_INF, POS_INF)
+    stack, total = [(visit(tree.root, tree.n, None, 0, NEG_INF, POS_INF), None)], None
+    while stack:
+        walker, args = stack[-1]
+        try:
+            child = walker.send(total)
+        except StopIteration as done:
+            stack.pop()
+            total = done.value
+            if args is not None and total != args[1]:
+                bad.append(f"block {args[2]}: slot weight {args[1]} for child "
+                           f"{args[0]}, true count {total}")
+            continue
+        stack.append((visit(*child), child))
+        total = None
     if total != tree.n:
         bad.append(f"tree: {total} keys reachable, header says {tree.n}")
     stray = set(store.blocks) - seen

@@ -7,7 +7,7 @@ anchor only the separator intervals whose key content changes are laid
 out again; every other child subtree is re-linked untouched.  Rebuilt
 sections are assembled into auxiliary storage with range-limited scans
 of the old subtrees and promoted to the UR region in one atomic commit.
-Chain blocks (fan-out one) are rewritten in a single linear pass instead.
+Chains (fan-out one) are re-waved in one linear pass that insert and delete share.
 
 Ancestor blocks on the search path keep their layout but carry a child
 weight that changed by one; those are in-place field rewrites, applied
@@ -170,7 +170,7 @@ class _Ctx:
 
 
 def _top_pass(ctx: _Ctx, sources, lo: int, hi: int, k: int,
-              floor=None, exclude=(), record=False, forbid=None):
+              floor=None, exclude=(), record=False):
     """k smallest-priority stored keys in (lo, hi) plus the total count.
 
     Scans each source subtree once; with `record`, every visited block is
@@ -183,8 +183,6 @@ def _top_pass(ctx: _Ctx, sources, lo: int, hi: int, k: int,
 
     def on_key(key: int) -> None:
         nonlocal total
-        if forbid is not None and key == forbid:
-            raise DuplicateKeyError(f"key {key} already present")
         total += 1
         p = prio.priority(key)
         if len(cands) < k:
@@ -200,16 +198,14 @@ def _top_pass(ctx: _Ctx, sources, lo: int, hi: int, k: int,
     return cands, total
 
 
-def _count_pass(ctx: _Ctx, source: int, lo: int, hi: int, exclude=(), record=False) -> int:
+def _count_pass(ctx: _Ctx, source: int, lo: int, hi: int, exclude=()) -> int:
     count = 0
 
     def on_key(_key: int) -> None:
         nonlocal count
         count += 1
 
-    on_block = ctx.obsolete_recorder() if record else None
-    scan_keys(ctx.store, ctx.prio, source, lo, hi, on_key=on_key,
-              on_block=on_block, exclude=exclude)
+    scan_keys(ctx.store, ctx.prio, source, lo, hi, on_key=on_key, exclude=exclude)
     return count
 
 
@@ -330,7 +326,7 @@ def _build_chain(ctx: _Ctx, lo: int, hi: int, weight: int, sources, include, exc
 
 
 def _build_fresh(ctx: _Ctx, lo: int, hi: int, weight: int, sources, include, exclude,
-                 parent: int | None, depth: int, floor=None) -> int | None:
+                 parent: int | None, depth: int) -> int | None:
     """Stage a complete subtree for (lo, hi); stack-driven, returns root label."""
     if weight == 0:
         for src in sources:
@@ -340,9 +336,9 @@ def _build_fresh(ctx: _Ctx, lo: int, hi: int, weight: int, sources, include, exc
     prio = ctx.prio
     if weight > alpha and fanout_bound(weight, ctx.params) <= 1:
         return _build_chain(ctx, lo, hi, weight, sources, include, exclude,
-                            floor, parent, depth)
+                            None, parent, depth)
     root_node, specs = _assemble(ctx, lo, hi, weight, sources, include, exclude,
-                                 floor, parent, depth)
+                                 None, parent, depth)
     ctx.stage(root_node)
     root_floor = max(prio.priority(k) for k in root_node.keys)
     stack = [(root_node, _BuildState(sources, include, exclude, root_floor, specs))]
@@ -378,8 +374,6 @@ def _build_fresh(ctx: _Ctx, lo: int, hi: int, weight: int, sources, include, exc
 
 def _old_sections(node: BlockNode, prio, lo: int, hi: int):
     """(lo, hi, child) triples of the block's current partition."""
-    if node.fanout <= 1:
-        return [(lo, hi, node.children[0])]
     seps = active_separators(node, prio)
     bounds = [lo] + seps + [hi]
     return [
@@ -498,62 +492,61 @@ def _run_anchor(ctx: _Ctx, node: BlockNode, lo: int, hi: int, n_new: int,
 # ---------------------------------------------------------------------------
 
 
-def _list_insert(ctx: _Ctx, head_label: int, key: int) -> None:
-    """One linear pass over a chain: emplace the key at its priority wave."""
+def _rewave(ctx: _Ctx, node: BlockNode, pool: list[tuple]) -> None:
+    """Rewrite a chain from `node` down as priority waves; one read per block.
+
+    `pool` holds the (priority, key) pairs that replace the node's array,
+    ascending.  Every key in it ranks below every key further down the
+    chain, so the blocks below are appended to it one at a time, and the
+    alpha smallest keys leave as the next wave whenever the pool holds
+    more than alpha keys or the chain below is used up.
+    """
     store, prio, alpha = ctx.store, ctx.prio, ctx.alpha
+    ctx.mark_obsolete(node.label, node.depth)
+    below = node.children[0]
+    parent, depth, head = node.parent, node.depth, None
+    while pool or below is not None:
+        if len(pool) <= alpha and below is not None:
+            nxt = store.read(below.label)
+            store.release(below.label)
+            ctx.mark_obsolete(below.label, nxt.depth)
+            pool += sorted((prio.priority(k), k) for k in nxt.keys)
+            below = nxt.children[0]
+            continue
+        wave, pool = pool[:alpha], pool[alpha:]
+        new = BlockNode(sorted(k for _, k in wave), [None] * (alpha + 1),
+                        parent, depth, 1, wave[0][1])
+        if pool or below is not None:
+            link = pool[0][1] if pool else below.label
+            new.children[0] = ChildRef(link, len(pool) + (below.weight if below else 0))
+        ctx.stage(new)
+        if head is None:
+            head = new.label
+        parent, depth = new.label, depth + 1
+    ctx.relabels[node.label] = head
+    ctx.commit_site()
+
+
+def _list_insert(ctx: _Ctx, head_label: int, key: int) -> None:
+    """Find the first wave whose maximum priority is above the key's; re-wave from it."""
+    store, prio = ctx.store, ctx.prio
     pi_x = prio.priority(key)
     cur = head_label
     while True:
         node = store.read(cur)
         store.release(cur)
-        p_max = max(prio.priority(k) for k in node.keys)
+        pool = [(prio.priority(k), k) for k in node.keys]
         nxt = node.children[0]
-        if pi_x < p_max or nxt is None:
+        if pi_x < max(pool)[0] or nxt is None:
             break
         ctx.path.append((cur, nxt.label, key))
         cur = nxt.label
-    # rewrite from the wave block onward
-    carry = (pi_x, key)
-    parent = node.parent
-    depth = node.depth
-    while True:
-        pool = sorted([(prio.priority(k), k) for k in node.keys] + [carry])
-        nxt = node.children[0]
-        if len(pool) <= alpha and nxt is None:
-            new = BlockNode(sorted(k for _, k in pool), [None] * (alpha + 1),
-                            parent, depth, 1, pool[0][1])
-            ctx.mark_obsolete(node.label, node.depth)
-            if new.label != node.label:
-                ctx.relabels[node.label] = new.label
-            ctx.stage(new)
-            break
-        wave, displaced = pool[:alpha], pool[alpha]
-        if nxt is not None:
-            link = min(displaced, (prio.priority(nxt.label), nxt.label))
-            weight = nxt.weight + 1
-        else:
-            link = displaced
-            weight = 1
-        new = BlockNode(sorted(k for _, k in wave), [None] * (alpha + 1),
-                        parent, depth, 1, wave[0][1])
-        new.children[0] = ChildRef(link[1], weight)
-        ctx.mark_obsolete(node.label, node.depth)
-        if new.label != node.label:
-            ctx.relabels[node.label] = new.label
-        ctx.stage(new)
-        parent, depth, carry = new.label, depth + 1, displaced
-        if nxt is None:
-            tail = BlockNode([carry[1]], [None] * (alpha + 1), parent, depth, 1, carry[1])
-            ctx.stage(tail)
-            break
-        node = store.read(nxt.label)
-        store.release(nxt.label)
-    ctx.commit_site()
+    _rewave(ctx, node, sorted(pool + [(pi_x, key)]))
 
 
 def _list_delete(ctx: _Ctx, head_label: int, key: int) -> None:
-    """One linear pass over a chain: remove the key, pulling waves up."""
-    store, prio, alpha = ctx.store, ctx.prio, ctx.alpha
+    """Find the wave that holds the key; re-wave from it without the key."""
+    store, prio = ctx.store, ctx.prio
     cur = head_label
     while True:
         node = store.read(cur)
@@ -565,41 +558,7 @@ def _list_delete(ctx: _Ctx, head_label: int, key: int) -> None:
             raise MissingKeyError(f"key {key} not present")
         ctx.path.append((cur, nxt.label, key))
         cur = nxt.label
-    removed = key
-    parent = node.parent
-    depth = node.depth
-    while True:
-        keys = [k for k in node.keys if k != removed]
-        nxt = node.children[0]
-        if nxt is None:
-            ctx.mark_obsolete(node.label, node.depth)
-            if keys:
-                new = BlockNode(sorted(keys), [None] * (alpha + 1), parent, depth, 1,
-                                min(keys, key=prio.priority))
-                if new.label != node.label:
-                    ctx.relabels[node.label] = new.label
-                ctx.stage(new)
-            else:
-                ctx.relabels[node.label] = None
-            break
-        nxt_node = store.read(nxt.label)
-        store.release(nxt.label)
-        pulled = nxt.label        # the next wave's minimum-priority key
-        keys.append(pulled)
-        new = BlockNode(sorted(keys), [None] * (alpha + 1), parent, depth, 1,
-                        min(keys, key=prio.priority))
-        if len(nxt_node.keys) == 1 and nxt_node.children[0] is None:
-            pass                  # the tail empties out: chain shortens
-        else:
-            rest = [k for k in nxt_node.keys if k != pulled]
-            nxt_label_new = min(rest, key=prio.priority) if rest else nxt_node.children[0].label
-            new.children[0] = ChildRef(nxt_label_new, nxt.weight - 1)
-        ctx.mark_obsolete(node.label, node.depth)
-        if new.label != node.label:
-            ctx.relabels[node.label] = new.label
-        ctx.stage(new)
-        parent, depth, removed, node = new.label, depth + 1, pulled, nxt_node
-    ctx.commit_site()
+    _rewave(ctx, node, sorted((prio.priority(k), k) for k in node.keys if k != key))
 
 
 # ---------------------------------------------------------------------------
@@ -679,7 +638,7 @@ def _apply_path_fixes(ctx: _Ctx, delta: int) -> None:
         node = ctx.store.peek(parent_label).copy()
         if old_child is None:
             seps = active_separators(node, ctx.prio)
-            slot = bisect_right(seps, key) if node.fanout > 1 else 0
+            slot = bisect_right(seps, key)
             ref = node.children[slot]
             assert ref is None
             node.children[slot] = ChildRef(key, delta)

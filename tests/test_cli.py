@@ -1,5 +1,7 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 from rbst.cli import main
 
@@ -15,9 +17,12 @@ def test_verify_quick(capsys):
 
 
 def test_usage_error_exit_code():
+    # pytest's `pythonpath` setting does not reach a child process
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "rbst.cli", "definitely-not-a-command"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 2
     assert "usage" in proc.stderr.lower()

@@ -116,13 +116,17 @@ def test_query_purity_no_writes():
     assert tree.store.stats().writes == before
 
 
-@pytest.mark.parametrize("case", range(20))
+@pytest.mark.parametrize("case", range(21))
 def test_checker_accepts_fresh_builds(case):
     rng = random.Random(case)
     alpha = rng.choice([1, 2, 3, 4])
     rho = rng.choice([0, 1, 2, 4, 100])
     params = Params.unbuffered(alpha) if rho == 0 else Params.explicit(alpha, rho)
     n = rng.randrange(0, 200)
+    if case == 20:
+        # alpha=1, eps=0.05 (rho=2160): one chain of 2,000 blocks, deeper
+        # than the interpreter's recursion limit
+        params, n = Params.of(1, 0.05), 2000
     keys = rng.sample(range(1 << 30), n)
     tree = oracle_tree(keys, HashedPriority(case), params)
     report = check_invariants(tree)

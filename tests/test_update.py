@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_left
 
 import pytest
 
@@ -16,6 +17,31 @@ from rbst.update import (
 from conftest import build_by_inserts, grid_params
 
 GRID = [(a, r) for a in (1, 2, 3, 4) for r in (0, 1, 2, 4)]
+# whole-chain inputs: at rho=64 a tree of about 40 keys is one chain of
+# priority waves; the update lands in its head wave, a middle wave or its tail
+CHAIN = [(a, where) for a in (1, 2, 3) for where in (0.0, 0.5, 1.0)]
+
+
+def _case_params(case: int, n_grid: int):
+    """(params, wave position or None): GRID for the first n_grid cases, then CHAIN."""
+    if case < n_grid:
+        return grid_params(*GRID[case % len(GRID)]), None
+    alpha, where = CHAIN[case - n_grid]
+    return Params.explicit(alpha, 64), where
+
+
+def _fresh_key_at(tree, keys, rng, where: float) -> int:
+    """A new key with round(where * len(keys)) present keys below it in priority."""
+    pis = sorted(tree.prio.priority(k) for k in keys)
+    rank = round(where * len(keys))
+    while True:
+        k = rng.randrange(1 << 22)
+        if k not in keys and bisect_left(pis, tree.prio.priority(k)) == rank:
+            return k
+
+
+def _present_key_at(tree, keys, where: float) -> int:
+    return sorted(keys, key=tree.prio.priority)[round(where * (len(keys) - 1))]
 
 
 def test_insert_into_empty():
@@ -186,18 +212,28 @@ def _image_diff(before: bytes, after: bytes):
     return old_side, new_side
 
 
-@pytest.mark.parametrize("case", range(30))
+@pytest.mark.parametrize("case", range(30 + len(CHAIN)))
 def test_receipt_accounts_for_image_diff(case):
     # every block the image shows changed must be in the receipt's freed,
     # staged, or rewritten sets; the counts never undershoot the true diff
     rng = random.Random(case * 13 + 5)
-    alpha, rho = GRID[case % len(GRID)]
-    params = grid_params(alpha, rho)
-    keys = rng.sample(range(1 << 22), rng.randrange(1, 64))
+    params, where = _case_params(case, 30)
+    keys = rng.sample(range(1 << 22), rng.randrange(1, 64) if where is None else 40)
     tree = build_by_inserts(keys, params, seed=case)
-    for _ in range(6):
+    for i in range(6):
         before = tree.image()
-        if keys and rng.random() < 0.5:
+        if where is not None:
+            # alternate a delete and an insert at the same wave position; at
+            # alpha 1 and 3 each delete drops a one-key tail, each insert adds one
+            if i % 2 == 0:
+                k = _present_key_at(tree, keys, where)
+                keys.remove(k)
+                r = delete(tree, k)
+            else:
+                k = _fresh_key_at(tree, keys, rng, where)
+                keys.append(k)
+                r = insert(tree, k)
+        elif keys and rng.random() < 0.5:
             k = keys.pop(rng.randrange(len(keys)))
             r = delete(tree, k)
         else:
@@ -339,16 +375,16 @@ def test_explicit_mode_order_invariance(alpha, rho):
             assert tree.image() == want
 
 
-@pytest.mark.parametrize("case", range(12))
+@pytest.mark.parametrize("case", range(12 + len(CHAIN)))
 def test_insert_delete_mirror_diff(case):
-    # the two legs of an insert/delete pair change mirrored block sets
+    # the two legs of an insert/delete pair change mirrored block sets;
+    # at alpha=2 a tail insert adds a one-key wave and the delete drops it
     rng = random.Random(case * 5 + 3)
-    alpha, rho = GRID[case % len(GRID)]
-    params = grid_params(alpha, rho)
+    params, where = _case_params(case, 12)
     keys = rng.sample(range(1 << 24), 40)
     tree = build_by_inserts(keys, params, seed=case)
     img0 = tree.image()
-    x = rng.randrange(1 << 24)
+    x = rng.randrange(1 << 24) if where is None else _fresh_key_at(tree, keys, rng, where)
     if x in keys:
         return
     insert(tree, x)
