@@ -7,14 +7,13 @@ from .core import (
 )
 from .oracle import oracle_build, oracle_tree, treap_reference
 from .priority import ExplicitPriority, HashedPriority, priority_of
-from .store import BlockStore, ImageHeader, IoStats, load_image, save_image
+from .store import BlockStore, ImageHeader, IoStats
 from .update import RebuildPlan, UpdateReceipt, delete, insert, locate_rebuild, top
 
 __all__ = [
     "BlockNode", "BlockStore", "ChildRef", "ExplicitPriority", "HashedPriority",
     "ImageHeader", "IoStats", "Params", "RebuildPlan", "Tree", "UpdateReceipt",
-    "check_invariants", "delete", "fanout_bound", "insert", "load_image",
-    "locate_rebuild", "oracle_build", "oracle_tree", "priority_of",
-    "range_count", "range_report", "save_image", "select_kth", "successor",
-    "top", "treap_reference",
+    "check_invariants", "delete", "fanout_bound", "insert", "locate_rebuild",
+    "oracle_build", "oracle_tree", "priority_of", "range_count",
+    "range_report", "select_kth", "successor", "top", "treap_reference",
 ]

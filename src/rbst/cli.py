@@ -93,10 +93,6 @@ def _cmd_bench_updates(args) -> int:
     return _emit_rows(rows, args.out)
 
 
-def _load_tree(path: str) -> Tree:
-    return Tree.load(path)
-
-
 def _cmd_demo(args) -> int:
     try:
         if args.op == "init":
@@ -106,7 +102,7 @@ def _cmd_demo(args) -> int:
             tree.save(args.image)
             print(f"created empty image {args.image}")
             return 0
-        tree = _load_tree(args.image)
+        tree = Tree.load(args.image)
         if args.op == "insert":
             r = insert(tree, args.key[0])
             tree.save(args.image)
@@ -138,12 +134,12 @@ def _cmd_demo(args) -> int:
 
 def _cmd_dump(args) -> int:
     try:
-        tree = _load_tree(args.image)
+        tree = Tree.load(args.image)
     except FileNotFoundError:
         print(f"image not found: {args.image}", file=sys.stderr)
         return 1
     p = tree.params
-    print(f"alpha={p.alpha} rho={p.rho if p.buffering else 0} "
+    print(f"alpha={p.alpha} rho={p.rho} "
           f"seed={tree.prio.seed_tag} n={tree.n} root={tree.root}")
     for label in sorted(tree.store.blocks):
         b = tree.store.blocks[label]

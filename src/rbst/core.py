@@ -1,12 +1,13 @@
 """Tree model: parameters, fan-out rule, read-only queries, invariant checker.
 
-A tree is a handle over a block store.  Every block stores the keys with
-the smallest priorities of its subtree; the stored fan-out of a subtree
-of weight w is
+A tree is a handle over a block store.  Its parameters are the pair
+(alpha, rho) that its image stores, rho = 0 meaning buffering disabled.
+Every block stores the keys with the smallest priorities of its subtree;
+the stored fan-out of a subtree of weight w is
 
     fanout_bound(w) = min(alpha + 1, max(1, ceil((w - alpha) / rho)))
 
-with buffering enabled, and alpha + 1 otherwise.  Blocks with fan-out 1
+for rho >= 1, and alpha + 1 for rho = 0.  Blocks with fan-out 1
 and weight above alpha degenerate to a chain sorted by priority waves;
 blocks with fan-out d >= 2 route searches through their d - 1 active
 separators, the smallest-priority keys of their array.
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from .blocks import BlockNode
 from .errors import ConfigError, InvalidRangeError, InvalidRankError
 from .priority import HashedPriority
-from .store import BlockStore, ImageHeader, load_image, parse_image, save_image
+from .store import RHO_MAX, BlockStore, ImageHeader, parse_image
 
 NEG_INF = -1
 POS_INF = 1 << 64
@@ -29,51 +30,48 @@ POS_INF = 1 << 64
 
 @dataclass(frozen=True)
 class Params:
-    """Fan-out and buffering parameters.
+    """Array size alpha and buffer parameter rho, exactly as an image stores them.
 
-    rho is the canonical stored parameter; eps is kept for bound
-    reporting and is None on trees loaded from an image.
+    rho = 0 disables buffering; rho >= 1 gives the buffer threshold
+    beta = (alpha + 1) * rho.
     """
 
     alpha: int
     rho: int
-    eps: float | None = None
-    c_rho: int = 108
-    buffering: bool = True
 
     def __post_init__(self):
         if self.alpha < 1 or self.alpha > 65534:
             raise ConfigError(f"alpha {self.alpha} outside 1..65534")
-        if self.eps is not None and not 0 < self.eps <= 0.5:
-            raise ConfigError(f"eps {self.eps} outside (0, 1/2]")
-        if self.buffering and self.rho < 1:
-            raise ConfigError("rho must be >= 1 when buffering is enabled")
+        if not 0 <= self.rho <= RHO_MAX:
+            raise ConfigError(f"rho {self.rho} outside 0..{RHO_MAX}")
 
     @classmethod
     def of(cls, alpha: int, eps: float, c_rho: int = 108) -> "Params":
+        """Buffered parameters with rho = ceil(c_rho * alpha / eps)."""
         if not 0 < eps <= 0.5:
             raise ConfigError(f"eps {eps} outside (0, 1/2]")
-        rho = math.ceil(c_rho * alpha / eps)
-        return cls(alpha=alpha, rho=rho, eps=eps, c_rho=c_rho, buffering=True)
+        if c_rho < 1:
+            raise ConfigError(f"c_rho {c_rho} must be >= 1")
+        return cls(alpha, math.ceil(c_rho * alpha / eps))
 
     @classmethod
-    def explicit(cls, alpha: int, rho: int, eps: float | None = None) -> "Params":
-        return cls(alpha=alpha, rho=rho, eps=eps, buffering=True)
+    def explicit(cls, alpha: int, rho: int) -> "Params":
+        return cls(alpha, rho)
 
     @classmethod
     def unbuffered(cls, alpha: int) -> "Params":
-        return cls(alpha=alpha, rho=0, eps=None, buffering=False)
+        return cls(alpha, 0)
 
     @property
     def beta(self) -> int:
-        return (self.alpha + 1) * self.rho if self.buffering else 0
+        return (self.alpha + 1) * self.rho
 
 
 def fanout_bound(n_sub: int, params: Params) -> int:
     """Fan-out of a subtree holding n_sub keys."""
     if n_sub < 0:
         raise ConfigError(f"negative subtree weight {n_sub}")
-    if not params.buffering:
+    if params.rho == 0:
         return params.alpha + 1 if n_sub > 0 else 1
     if n_sub == 0:
         return 1
@@ -94,40 +92,27 @@ class Tree:
     def empty(cls, params: Params, seed: int = 0) -> "Tree":
         return cls(BlockStore(params.alpha), params, HashedPriority(seed))
 
-    def header(self) -> ImageHeader:
-        return ImageHeader(
-            alpha=self.params.alpha,
-            rho=self.params.rho if self.params.buffering else 0,
-            seed=getattr(self.prio, "seed_tag", 0),
-            n=self.n,
-            root=self.root,
-        )
-
     def image(self) -> bytes:
-        return self.store.image_bytes(self.header())
+        return self.store.image_bytes(ImageHeader(
+            self.params.alpha, self.params.rho, self.prio.seed_tag, self.n, self.root))
 
     def save(self, path: str) -> None:
         if not isinstance(self.prio, HashedPriority):
             raise ConfigError("an image persists only a hash seed; explicit ranks would be lost")
-        save_image(path, self.store, self.header())
+        data = self.image()
+        with open(path, "wb") as fh:
+            fh.write(data)
 
     @classmethod
     def load(cls, path: str) -> "Tree":
-        store, header = load_image(path)
-        return cls._from_parsed(store, header)
+        with open(path, "rb") as fh:
+            return cls.from_image_bytes(fh.read())
 
     @classmethod
     def from_image_bytes(cls, data: bytes) -> "Tree":
         store, header = parse_image(data)
-        return cls._from_parsed(store, header)
-
-    @classmethod
-    def _from_parsed(cls, store: BlockStore, header: ImageHeader) -> "Tree":
-        if header.rho > 0:
-            params = Params.explicit(header.alpha, header.rho)
-        else:
-            params = Params.unbuffered(header.alpha)
-        return cls(store, params, HashedPriority(header.seed), header.root, header.n)
+        return cls(store, Params(header.alpha, header.rho), HashedPriority(header.seed),
+                   header.root, header.n)
 
     # convenience delegates; the implementations live in their modules
     def insert(self, key: int):

@@ -4,8 +4,8 @@ oracle_build lays a tree out directly from its recursive definition: the
 block of a subtree holds the keys with the smallest priorities, the
 fan-out rule picks how many of them separate the remaining keys, and a
 fan-out of one degenerates to a chain of priority waves.  No partial
-rebuilds, no I/O accounting, plain recursion.  Everything the dynamic
-side produces is compared byte-for-byte against images built here.
+rebuilds, no I/O accounting.  Everything the dynamic side produces is
+compared byte-for-byte against images built here.
 
 The enumerators are exact: full iteration over permutations or integer
 compositions with Fraction arithmetic, never floating point.
@@ -21,28 +21,48 @@ from .blocks import BlockNode, ChildRef
 from .core import Params, Tree, fanout_bound
 from .errors import ConfigError, EnumerationLimitError
 from .priority import ExplicitPriority, HashedPriority
-from .store import BlockStore, ImageHeader
+from .store import BlockStore
 
 ENUMERATION_LIMIT = 9
 
 
 def oracle_blocks(keys, prio, params: Params) -> tuple[int | None, dict[int, BlockNode]]:
-    """Lay out a tree over `keys`; returns (root label, label -> block)."""
+    """Lay out a tree over `keys`; returns (root label, label -> block).
+
+    Runs on an explicit stack because a tree can be deeper than the
+    recursion limit.  A task lays out the subtree over its keys and links
+    it into slot j of its parent; a block is stored after its subtrees.
+    """
     out: dict[int, BlockNode] = {}
     alpha = params.alpha
-
-    def build(subkeys: list[int], parent: int | None, depth: int) -> int | None:
-        # subkeys sorted ascending by key
+    top: list[ChildRef | None] = [None]
+    stack: list = [(sorted(keys), None, 0, top, 0)]
+    while stack:
+        task = stack.pop()
+        if isinstance(task, BlockNode):
+            out[task.label] = task
+            continue
+        subkeys, parent, depth, slots, j = task     # subkeys ascending by key
         n = len(subkeys)
         if n == 0:
-            return None
+            continue
         by_pi = sorted(subkeys, key=prio.priority)
+        label = by_pi[0]
+        slots[j] = ChildRef(label, n)
         d = fanout_bound(n, params)
         if d <= 1 and n > alpha:
-            return build_chain(by_pi, parent, depth, n)
+            # a chain of priority waves, head first
+            for off in range(0, n, alpha):
+                wave = by_pi[off: off + alpha]
+                node = BlockNode(sorted(wave), [None] * (alpha + 1), parent, depth, 1, wave[0])
+                if off:
+                    out[parent].children[0] = ChildRef(wave[0], n - off)
+                out[wave[0]] = node
+                parent, depth = wave[0], depth + 1
+            continue
         arr = sorted(by_pi[:alpha]) if n > alpha else list(subkeys)
-        label = by_pi[0]
         children: list[ChildRef | None] = [None] * (alpha + 1)
+        stack.append(BlockNode(arr, children, parent, depth, d, label))
         if n > alpha:
             seps = sorted(by_pi[: d - 1])
             rest = set(by_pi[alpha:])
@@ -55,30 +75,9 @@ def oracle_blocks(keys, prio, params: Params) -> tuple[int | None, dict[int, Blo
                 while bounds[i] is not None and key > bounds[i]:
                     i += 1
                 sections[i].append(key)
-            for j, sec in enumerate(sections):
-                sub = build(sec, label, depth + 1)
-                if sub is not None:
-                    children[j] = ChildRef(sub, len(sec))
-        out[label] = BlockNode(arr, children, parent, depth, d, label)
-        return label
-
-    def build_chain(by_pi: list[int], parent: int | None, depth: int, n: int) -> int:
-        head = None
-        prev: BlockNode | None = None
-        for off in range(0, n, alpha):
-            wave = by_pi[off: off + alpha]
-            label = wave[0]
-            node = BlockNode(sorted(wave), [None] * (alpha + 1), parent, depth, 1, label)
-            if prev is None:
-                head = label
-            else:
-                prev.children[0] = ChildRef(label, n - off)
-            out[label] = node
-            prev, parent, depth = node, label, depth + 1
-        return head
-
-    root = build(sorted(keys), None, 0)
-    return root, out
+            for j in reversed(range(d)):
+                stack.append((sections[j], label, depth + 1, children, j))
+    return (top[0].label if top[0] is not None else None), out
 
 
 def oracle_tree(keys, prio, params: Params) -> Tree:
@@ -91,17 +90,7 @@ def oracle_tree(keys, prio, params: Params) -> Tree:
 
 def oracle_build(keys, prio, params: Params) -> bytes:
     """Reference store image over a key set: the UR ground truth."""
-    root, blocks = oracle_blocks(keys, prio, params)
-    store = BlockStore(params.alpha)
-    store.blocks = blocks
-    header = ImageHeader(
-        alpha=params.alpha,
-        rho=params.rho if params.buffering else 0,
-        seed=getattr(prio, "seed_tag", 0),
-        n=len(set(keys)),
-        root=root,
-    )
-    return store.image_bytes(header)
+    return oracle_tree(keys, prio, params).image()
 
 
 # ---------------------------------------------------------------------------
@@ -120,44 +109,54 @@ class TreapNode:
 
 def treap_reference(keys, prio) -> TreapNode | None:
     """Classic treap: search tree by key, heap by priority."""
-    def build(subkeys: list[int]) -> TreapNode | None:
+    top = TreapNode(None)
+    # (ascending keys of a subtree, the node that takes it, "left" or "right")
+    stack = [(sorted(keys), top, "left")]
+    while stack:
+        subkeys, owner, side = stack.pop()
         if not subkeys:
-            return None
-        top = min(subkeys, key=prio.priority)
-        i = subkeys.index(top)
-        return TreapNode(top, build(subkeys[:i]), build(subkeys[i + 1:]))
-
-    return build(sorted(keys))
+            continue
+        key = min(subkeys, key=prio.priority)
+        i = subkeys.index(key)
+        node = TreapNode(key)
+        setattr(owner, side, node)
+        stack.append((subkeys[:i], node, "left"))
+        stack.append((subkeys[i + 1:], node, "right"))
+    return top.left
 
 
 def treap_shape_of_tree(tree: Tree) -> TreapNode | None:
     """Binary shape of an alpha=1, unbuffered tree, for isomorphism checks."""
-    if tree.params.alpha != 1 or tree.params.buffering:
+    if tree.params.alpha != 1 or tree.params.rho != 0:
         raise ConfigError("treap comparison requires alpha=1 without buffering")
     store = tree.store
-
-    def conv(label: int | None) -> TreapNode | None:
+    top = TreapNode(None)
+    stack = [(tree.root, top, "left")]
+    while stack:
+        label, owner, side = stack.pop()
         if label is None:
-            return None
-        node = store.peek(label)
-        left, right = node.children[0], node.children[1]
-        return TreapNode(
-            node.keys[0],
-            conv(left.label if left else None),
-            conv(right.label if right else None),
-        )
-
-    return conv(tree.root)
+            continue
+        block = store.peek(label)
+        node = TreapNode(block.keys[0])
+        setattr(owner, side, node)
+        for child, child_side in zip(block.children, ("left", "right")):
+            stack.append((child.label if child else None, node, child_side))
+    return top.left
 
 
 def treap_isomorphic(a: TreapNode | None, b: TreapNode | None) -> bool:
-    if a is None or b is None:
-        return a is b or (a is None and b is None)
-    return (
-        a.key == b.key
-        and treap_isomorphic(a.left, b.left)
-        and treap_isomorphic(a.right, b.right)
-    )
+    stack = [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        if a is None or b is None:
+            if a is not b:
+                return False
+            continue
+        if a.key != b.key:
+            return False
+        stack.append((a.left, b.left))
+        stack.append((a.right, b.right))
+    return True
 
 
 # ---------------------------------------------------------------------------

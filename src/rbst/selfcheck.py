@@ -1,7 +1,8 @@
 """Correctness verification suite behind the `verify` CLI subcommand.
 
 Each check returns (name, ok, detail); the CLI prints them as a table.
-The same checks back the acceptance tests, with larger case counts there.
+Acceptance criteria 2 and 9 run the same checks, criterion 2 with a
+larger case count.
 """
 
 from __future__ import annotations
@@ -20,17 +21,13 @@ from .store import BlockStore, parse_image
 from .update import delete, insert
 
 
-def _grid_params(alpha: int, rho: int) -> Params:
-    return Params.unbuffered(alpha) if rho == 0 else Params.explicit(alpha, rho)
-
-
 def check_ur_grid(cases: int, seed: int = 11, n_max: int = 64):
     """Random insert/delete churn ends byte-identical to a fresh build."""
     rng = random.Random(seed)
     grid = [(a, r) for a in (1, 2, 3, 4) for r in (0, 1, 2, 4)]
     for case in range(cases):
         alpha, rho = grid[case % len(grid)]
-        params = _grid_params(alpha, rho)
+        params = Params.explicit(alpha, rho)
         tree = Tree.empty(params, seed=case)
         uni = rng.sample(range(1 << 32), n_max + n_max // 2)
         present = []
@@ -51,12 +48,12 @@ def check_ur_grid(cases: int, seed: int = 11, n_max: int = 64):
     return ("ur-grid", True, f"{cases} churn cases byte-identical to fresh builds")
 
 
-def check_treap_degeneration(cases: int, seed: int = 5, n_max: int = 100):
-    rng = random.Random(seed)
+def check_treap_degeneration(cases: int):
     params = Params.unbuffered(1)
     for case in range(cases):
-        n = rng.randrange(1, n_max + 1)
-        keys = rng.sample(range(1 << 32), n)
+        rng = random.Random(case * 31 + 7)
+        n = rng.randrange(1, 101)
+        keys = rng.sample(range(1 << 30), n)
         prio = HashedPriority(case)
         tree = Tree(BlockStore(1), params, prio)
         for k in keys:
@@ -100,39 +97,39 @@ def check_distribution_brackets():
     return ("tail-brackets", True, "closed-form tail brackets hold for every t")
 
 
+def _has_child(node) -> bool:
+    return any(c is not None for c in node.children)
+
+
+def _bump_weight(node) -> None:
+    next(c for c in node.children if c is not None).weight += 1
+
+
+def _drop_fanout(node) -> None:
+    node.fanout -= 1
+
+
+# (fault, which block gets it, corruption); the first matching block by label
+_FAULTS = [
+    ("corrupted child weight", _has_child, _bump_weight),
+    ("unsorted keys", lambda b: len(b.keys) > 1, lambda b: b.keys.reverse()),
+    ("wrong fan-out state", lambda b: b.fanout > 1 and _has_child(b), _drop_fanout),
+]
+
+
 def check_fault_injection():
-    params = Params.explicit(3, 2)
-    tree = Tree.empty(params, seed=9)
-    for k in random.Random(4).sample(range(10_000), 40):
+    """Each injected fault must give a violation that names the corrupted block."""
+    tree = Tree.empty(Params.explicit(3, 2), seed=90)
+    for k in random.Random(90).sample(range(100_000), 120):
         insert(tree, k)
     base = tree.image()
-
-    def fresh():
+    for fault, pick, corrupt in _FAULTS:
         t = Tree.from_image_bytes(base)
-        t.prio = tree.prio
-        return t
-
-    t = fresh()
-    label = next(l for l in t.store.blocks
-                 if any(c is not None for c in t.store.blocks[l].children))
-    node = t.store.blocks[label]
-    slot = next(i for i, c in enumerate(node.children) if c is not None)
-    node.children[slot].weight += 1
-    rep = check_invariants(t)
-    if rep.ok or not any(str(label) in v or "weight" in v for v in rep.violations):
-        return ("fault-injection", False, "corrupted child weight not reported")
-
-    t = fresh()
-    label = t.root
-    t.store.blocks[label].keys.reverse()
-    if len(t.store.blocks[label].keys) > 1 and check_invariants(t).ok:
-        return ("fault-injection", False, "unsorted keys not reported")
-
-    t = fresh()
-    label = t.root
-    t.store.blocks[label].fanout = max(1, t.store.blocks[label].fanout - 1)
-    if check_invariants(t).ok:
-        return ("fault-injection", False, "wrong fan-out state not reported")
+        label = next(l for l, b in t.store.blocks.items() if pick(b))
+        corrupt(t.store.blocks[label])
+        rep = check_invariants(t)
+        if rep.ok or not any(f"block {label}" in v for v in rep.violations):
+            return ("fault-injection", False, f"{fault} in block {label} not named")
     return ("fault-injection", True, "corrupt weight, key order, and fan-out all named")
 
 

@@ -33,6 +33,7 @@ from .errors import AccountingError, CorruptionError, FormatError, InvalidBlockE
 
 MAGIC = b"RBST"
 VERSION = 1
+RHO_MAX = 0xFFFFFFFF          # rho is a u32 header field
 
 _HEADER = struct.Struct("<4sHHIQQBQQ")
 
@@ -199,17 +200,6 @@ class BlockStore:
             out.append(struct.pack("<Q", label))
             out.append(pack_record(node, self.alpha))
         return b"".join(out)
-
-
-def save_image(path: str, store: BlockStore, header: ImageHeader) -> None:
-    with open(path, "wb") as fh:
-        fh.write(store.image_bytes(header))
-
-
-def load_image(path: str) -> tuple[BlockStore, ImageHeader]:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    return parse_image(data)
 
 
 def parse_image(data: bytes) -> tuple[BlockStore, ImageHeader]:

@@ -6,10 +6,6 @@ from rbst import BlockStore, Params, Tree, insert
 from rbst.priority import HashedPriority
 
 
-def grid_params(alpha: int, rho: int) -> Params:
-    return Params.unbuffered(alpha) if rho == 0 else Params.explicit(alpha, rho)
-
-
 def sample_set(rng: random.Random, n: int, hi: int = 1 << 32) -> list[int]:
     return rng.sample(range(hi), n)
 

@@ -11,16 +11,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from rbst import (
-    BlockStore, Params, Tree, check_invariants, delete, insert,
-)
+from rbst import Params, Tree, check_invariants, delete, insert
 from rbst.metrics import ExperimentConfig, bench_depth, bench_size, bench_updates, fast_build, sample_keys
 from rbst.oracle import (
     exact_expected_size, oracle_build, section_distribution_checks,
-    section_tail_by_enumeration, section_tail_prob, treap_isomorphic,
-    treap_reference, treap_shape_of_tree,
+    section_tail_by_enumeration, section_tail_prob,
 )
 from rbst.priority import HashedPriority
+from rbst.selfcheck import check_fault_injection, check_treap_degeneration
 
 
 def _report(num: int, detail: str) -> None:
@@ -64,17 +62,8 @@ def test_criterion_1_unique_representation_exact():
 
 def test_criterion_2_treap_degeneration_exact():
     cases = 200
-    for case in range(cases):
-        rng = random.Random(case * 31 + 7)
-        n = rng.randrange(1, 101)
-        keys = rng.sample(range(1 << 30), n)
-        prio = HashedPriority(case)
-        tree = Tree(BlockStore(1), Params.unbuffered(1), prio)
-        for k in keys:
-            insert(tree, k)
-        assert treap_isomorphic(
-            treap_shape_of_tree(tree), treap_reference(keys, prio)
-        ), f"case {case}: shape differs from the classic treap"
+    _, ok, detail = check_treap_degeneration(cases)
+    assert ok, detail
     _report(2, f"{cases} trees with alpha=1, no buffering, isomorphic to the treap")
 
 
@@ -189,38 +178,7 @@ def test_criterion_8_constant_main_memory():
 def test_criterion_9_invariant_checker_and_faults():
     # clean after every operation is exercised in criterion 1 and by the
     # bench helpers; here the checker must name each injected fault
-    params = Params.explicit(3, 2)
-    tree = Tree.empty(params, seed=90)
-    rng = random.Random(90)
-    for k in rng.sample(range(100_000), 120):
-        insert(tree, k)
-    base = tree.image()
-
-    def fresh():
-        t = Tree.from_image_bytes(base)
-        t.prio = tree.prio
-        return t
-
-    t = fresh()
-    parent = next(l for l, b in t.store.blocks.items()
-                  if any(c is not None for c in b.children))
-    slot = next(i for i, c in enumerate(t.store.blocks[parent].children) if c is not None)
-    t.store.blocks[parent].children[slot].weight += 1
-    rep = check_invariants(t)
-    assert not rep.ok and any(f"block {parent}" in v for v in rep.violations)
-
-    t = fresh()
-    victim = next(l for l, b in t.store.blocks.items() if len(b.keys) > 1)
-    t.store.blocks[victim].keys.reverse()
-    rep = check_invariants(t)
-    assert not rep.ok and any(str(victim) in v for v in rep.violations)
-
-    t = fresh()
-    deep = next(l for l, b in t.store.blocks.items()
-                if b.fanout > 1 and any(c is not None for c in b.children))
-    t.store.blocks[deep].fanout -= 1  # wrong separator count / fan-out state
-    rep = check_invariants(t)
-    assert not rep.ok and any(str(deep) in v for v in rep.violations)
-
+    _, ok, detail = check_fault_injection()
+    assert ok, detail
     _report(9, "corrupted weight, unsorted keys, and wrong fan-out each "
                "produce a violation naming the block")

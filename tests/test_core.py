@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -35,8 +36,28 @@ def test_params_validation():
         Params.of(2, 0.0)
     with pytest.raises(ConfigError):
         Params.explicit(0, 1)
+    # rho is a u32 image field: a larger one would crash image() with struct.error
+    with pytest.raises(ConfigError):
+        Params.explicit(2, 1 << 32)
+    with pytest.raises(ConfigError):
+        Params.of(65534, 0.001)
+    with pytest.raises(ConfigError):
+        Params.explicit(2, -1)
+    with pytest.raises(ConfigError):
+        Params.of(2, 0.5, c_rho=0)    # would silently disable buffering
+    assert Params.explicit(2, (1 << 32) - 1).rho == (1 << 32) - 1
+    assert Params.explicit(2, 0) == Params.unbuffered(2)
     assert Params.of(2, 0.5).rho == 432
     assert Params.of(2, 0.5).beta == 3 * 432
+    assert Params.unbuffered(2).beta == 0
+    assert [f.name for f in dataclasses.fields(Params)] == ["alpha", "rho"]
+
+
+@pytest.mark.parametrize("params", [Params.of(2, 0.5), Params.explicit(3, 2),
+                                    Params.unbuffered(4)], ids=["of", "explicit", "unbuffered"])
+def test_params_round_trip_through_image(params):
+    tree = oracle_tree(range(1, 40), HashedPriority(6), params)
+    assert Tree.from_image_bytes(tree.image()).params == params
 
 
 def test_successor_empty():
@@ -54,7 +75,7 @@ def test_successor_single_block():
 
 @pytest.mark.parametrize("alpha,rho", [(1, 0), (2, 1), (3, 2), (4, 0), (2, 50)])
 def test_successor_against_sorted_oracle(alpha, rho, rng):
-    params = Params.unbuffered(alpha) if rho == 0 else Params.explicit(alpha, rho)
+    params = Params.explicit(alpha, rho)
     keys = sorted(rng.sample(range(10_000), 500))
     tree = oracle_tree(keys, HashedPriority(5), params)
     import bisect
@@ -89,7 +110,7 @@ def test_range_count_and_select_basics():
                                             (2, 0, 4), (5, 3, 5)])
 def test_queries_against_sorted_oracle(alpha, rho, seed):
     rng = random.Random(seed)
-    params = Params.unbuffered(alpha) if rho == 0 else Params.explicit(alpha, rho)
+    params = Params.explicit(alpha, rho)
     keys = sorted(rng.sample(range(100_000), 400))
     tree = oracle_tree(keys, HashedPriority(seed), params)
     import bisect
@@ -121,7 +142,7 @@ def test_checker_accepts_fresh_builds(case):
     rng = random.Random(case)
     alpha = rng.choice([1, 2, 3, 4])
     rho = rng.choice([0, 1, 2, 4, 100])
-    params = Params.unbuffered(alpha) if rho == 0 else Params.explicit(alpha, rho)
+    params = Params.explicit(alpha, rho)
     n = rng.randrange(0, 200)
     if case == 20:
         # alpha=1, eps=0.05 (rho=2160): one chain of 2,000 blocks, deeper

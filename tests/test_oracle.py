@@ -7,7 +7,7 @@ from rbst import Params, Tree, insert
 from rbst.errors import ConfigError, EnumerationLimitError
 from rbst.oracle import (
     buffer_nonfull_census, enumerate_images, exact_expected_size, oracle_blocks,
-    oracle_build, section_distribution_checks, section_tail_by_enumeration,
+    oracle_build, oracle_tree, section_distribution_checks, section_tail_by_enumeration,
     section_tail_prob, treap_isomorphic, treap_reference, treap_shape_of_tree,
 )
 from rbst.priority import ExplicitPriority, HashedPriority
@@ -155,6 +155,16 @@ def test_treap_isomorphism_random(case):
     for k in keys:
         insert(tree, k)
     assert treap_isomorphic(treap_shape_of_tree(tree), treap_reference(keys, prio))
+
+
+def test_treap_deeper_than_recursion_limit():
+    # priorities ascend with the key: a right spine of 2,000 levels
+    keys = range(1, 2001)
+    prio = ExplicitPriority.from_order(keys)
+    tree = oracle_tree(keys, prio, Params.unbuffered(1))
+    assert tree.store.blocks[2000].depth == 1999
+    assert treap_isomorphic(treap_shape_of_tree(tree), treap_reference(keys, prio))
+    assert not treap_isomorphic(treap_shape_of_tree(tree), treap_reference(range(1, 2000), prio))
 
 
 def test_oracle_image_header_carries_params():

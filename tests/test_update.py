@@ -14,7 +14,7 @@ from rbst.update import (
     locate_rebuild,
 )
 
-from conftest import build_by_inserts, grid_params
+from conftest import build_by_inserts
 
 GRID = [(a, r) for a in (1, 2, 3, 4) for r in (0, 1, 2, 4)]
 # whole-chain inputs: at rho=64 a tree of about 40 keys is one chain of
@@ -25,7 +25,7 @@ CHAIN = [(a, where) for a in (1, 2, 3) for where in (0.0, 0.5, 1.0)]
 def _case_params(case: int, n_grid: int):
     """(params, wave position or None): GRID for the first n_grid cases, then CHAIN."""
     if case < n_grid:
-        return grid_params(*GRID[case % len(GRID)]), None
+        return Params.explicit(*GRID[case % len(GRID)]), None
     alpha, where = CHAIN[case - n_grid]
     return Params.explicit(alpha, 64), where
 
@@ -80,7 +80,7 @@ def test_delete_only_key():
 def test_insert_then_delete_restores_image():
     rng = random.Random(7)
     for alpha, rho in GRID:
-        params = grid_params(alpha, rho)
+        params = Params.explicit(alpha, rho)
         keys = rng.sample(range(1 << 24), 30)
         tree = build_by_inserts(keys, params, seed=4)
         img = tree.image()
@@ -114,7 +114,7 @@ def test_plan_bounds_by_case(rng):
     # sections plus the key's own landing; an in-array rebuild at a primary
     # block touches at most three; buffering in-array anchors can reach four
     for alpha, rho in [(2, 1), (3, 2), (4, 4), (3, 0), (1, 2)]:
-        params = grid_params(alpha, rho)
+        params = Params.explicit(alpha, rho)
         tree = Tree.empty(params, seed=alpha)
         present, uni = [], rng.sample(range(1 << 28), 300)
         for _ in range(500):
@@ -176,7 +176,7 @@ def test_top_k_bounds():
 def test_top_against_flat_scan(case):
     rng = random.Random(case + 100)
     alpha, rho = GRID[case % len(GRID)]
-    params = grid_params(alpha, rho)
+    params = Params.explicit(alpha, rho)
     n = rng.randrange(1, 64)
     keys = rng.sample(range(1000), n)
     prio = HashedPriority(case)
@@ -255,7 +255,7 @@ def test_locality_untouched_blocks_identical(case):
     # blocks outside the rebuilt regions and the root path must not change
     rng = random.Random(case + 900)
     alpha, rho = GRID[case % len(GRID)]
-    params = grid_params(alpha, rho)
+    params = Params.explicit(alpha, rho)
     keys = rng.sample(range(1 << 22), 60)
     tree = build_by_inserts(keys, params, seed=case)
     before = tree.image()
@@ -291,7 +291,7 @@ def test_pinned_blocks_constant_during_updates(rng):
 @pytest.mark.parametrize("alpha,rho", GRID)
 def test_observation_audit_constants(alpha, rho):
     rng = random.Random(alpha * 100 + rho)
-    params = grid_params(alpha, rho)
+    params = Params.explicit(alpha, rho)
     tree = Tree.empty(params, seed=9)
     present, uni = [], rng.sample(range(1 << 26), 120)
     for _ in range(200):
@@ -363,7 +363,7 @@ def test_explicit_mode_order_invariance(alpha, rho):
     # explicit rank assignments: the image depends only on the rank order,
     # never on the insertion call order
     import itertools
-    params = grid_params(alpha, rho)
+    params = Params.explicit(alpha, rho)
     keys = [11, 22, 33, 44, 55]
     for rank_perm in itertools.permutations(range(1, 6)):
         prio = ExplicitPriority(dict(zip(keys, rank_perm)))
