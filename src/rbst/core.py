@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .blocks import BlockNode
 from .errors import ConfigError, InvalidRangeError, InvalidRankError
 from .priority import HashedPriority
-from .store import RHO_MAX, BlockStore, ImageHeader, parse_image
+from .store import ALPHA_MAX, RHO_MAX, BlockStore, ImageHeader, parse_image
 
 NEG_INF = -1
 POS_INF = 1 << 64
@@ -40,8 +40,8 @@ class Params:
     rho: int
 
     def __post_init__(self):
-        if self.alpha < 1 or self.alpha > 65534:
-            raise ConfigError(f"alpha {self.alpha} outside 1..65534")
+        if not 1 <= self.alpha <= ALPHA_MAX:
+            raise ConfigError(f"alpha {self.alpha} outside 1..{ALPHA_MAX}")
         if not 0 <= self.rho <= RHO_MAX:
             raise ConfigError(f"rho {self.rho} outside 0..{RHO_MAX}")
 

@@ -5,6 +5,8 @@ random insertion order is realized as a keyed 64-bit mixing function: each
 key gets a pseudorandom rank, and ties (which require a hash collision)
 are broken by the key itself.  The mixing function is part of the image
 format: format version 1 means exactly the splitmix64 construction below.
+`HashedPriority.priority`, the hot path, inlines that mix with the seed's
+own splitmix64 precomputed; `tests/test_priority.py` pins it to `rank_of`.
 
 For exact enumerations an explicit priority source assigns ranks from a
 given bijection onto {1..n}, so drivers can iterate every permutation.
@@ -62,9 +64,14 @@ class HashedPriority:
         self.seed = seed & MASK64
         # image headers persist the seed so a reloaded tree keeps its shape
         self.seed_tag = self.seed
+        self._seed_mix = _splitmix64(self.seed)
 
     def priority(self, key: int) -> Priority:
-        return (rank_of(key, self.seed), key)
+        # rank_of(key, self.seed), with the seed's mix hoisted out
+        z = ((key ^ self._seed_mix) + _PHI) & MASK64
+        z = ((z ^ (z >> 30)) * _MIX1) & MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & MASK64
+        return (z ^ (z >> 31), key)
 
     def ranks(self, keys: np.ndarray) -> np.ndarray:
         return rank_of_array(keys, self.seed)

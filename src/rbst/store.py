@@ -33,6 +33,7 @@ from .errors import AccountingError, CorruptionError, FormatError, InvalidBlockE
 
 MAGIC = b"RBST"
 VERSION = 1
+ALPHA_MAX = 65534              # fan-out alpha + 1 fits a block's u16 field
 RHO_MAX = 0xFFFFFFFF          # rho is a u32 header field
 
 _HEADER = struct.Struct("<4sHHIQQBQQ")
@@ -82,8 +83,13 @@ class BlockStore:
     def read(self, ref) -> BlockNode:
         """Counted read; pins the block until release(ref)."""
         node = self._lookup(ref)
-        self._stats.reads += 1
-        self._pin(ref)
+        stats, pins = self._stats, self._pins
+        stats.reads += 1
+        # an AuxHandle never equals an int label, so the ref is the pin key
+        pins[ref] = pins.get(ref, 0) + 1
+        stats.cur_pinned += 1
+        if stats.cur_pinned > stats.peak_pinned:
+            stats.peak_pinned = stats.cur_pinned
         return node
 
     def peek(self, ref) -> BlockNode:
@@ -91,14 +97,14 @@ class BlockStore:
         return self._lookup(ref)
 
     def release(self, ref) -> None:
-        key = self._pin_key(ref)
-        cnt = self._pins.get(key, 0)
+        pins = self._pins
+        cnt = pins.get(ref, 0)
         if cnt <= 0:
             raise AccountingError(f"release of unpinned block {ref!r}")
         if cnt == 1:
-            del self._pins[key]
+            del pins[ref]
         else:
-            self._pins[key] = cnt - 1
+            pins[ref] = cnt - 1
         self._stats.cur_pinned -= 1
 
     def _lookup(self, ref) -> BlockNode:
@@ -111,16 +117,6 @@ class BlockStore:
             return self.blocks[ref]
         except KeyError:
             raise NotFoundError(f"block label {ref} not found") from None
-
-    def _pin_key(self, ref):
-        return ("aux", ref.id) if isinstance(ref, AuxHandle) else ref
-
-    def _pin(self, ref) -> None:
-        key = self._pin_key(ref)
-        self._pins[key] = self._pins.get(key, 0) + 1
-        self._stats.cur_pinned += 1
-        if self._stats.cur_pinned > self._stats.peak_pinned:
-            self._stats.peak_pinned = self._stats.cur_pinned
 
     # -- mutation -----------------------------------------------------
 
@@ -212,8 +208,8 @@ def parse_image(data: bytes) -> tuple[BlockStore, ImageHeader]:
         raise FormatError(f"bad magic {magic!r}")
     if version != VERSION:
         raise FormatError(f"unsupported version {version}")
-    if alpha < 1:
-        raise FormatError(f"bad alpha {alpha}")
+    if not 1 <= alpha <= ALPHA_MAX:
+        raise FormatError(f"bad alpha {alpha}: outside 1..{ALPHA_MAX}")
     rec = record_size(alpha)
     body = data[_HEADER.size:]
     if len(body) != count * (8 + rec):

@@ -495,11 +495,11 @@ def _run_anchor(ctx: _Ctx, node: BlockNode, lo: int, hi: int, n_new: int,
 def _rewave(ctx: _Ctx, node: BlockNode, pool: list[tuple]) -> None:
     """Rewrite a chain from `node` down as priority waves; one read per block.
 
-    `pool` holds the (priority, key) pairs that replace the node's array,
-    ascending.  Every key in it ranks below every key further down the
-    chain, so the blocks below are appended to it one at a time, and the
-    alpha smallest keys leave as the next wave whenever the pool holds
-    more than alpha keys or the chain below is used up.
+    `pool` holds the (rank, key) priorities of the keys that replace the
+    node's array, ascending.  Every key in it ranks below every key further
+    down the chain, so the blocks below are appended to it one at a time,
+    and the alpha smallest keys leave as the next wave whenever the pool
+    holds more than alpha keys or the chain below is used up.
     """
     store, prio, alpha = ctx.store, ctx.prio, ctx.alpha
     ctx.mark_obsolete(node.label, node.depth)
@@ -510,7 +510,7 @@ def _rewave(ctx: _Ctx, node: BlockNode, pool: list[tuple]) -> None:
             nxt = store.read(below.label)
             store.release(below.label)
             ctx.mark_obsolete(below.label, nxt.depth)
-            pool += sorted((prio.priority(k), k) for k in nxt.keys)
+            pool += sorted(map(prio.priority, nxt.keys))
             below = nxt.children[0]
             continue
         wave, pool = pool[:alpha], pool[alpha:]
@@ -528,20 +528,26 @@ def _rewave(ctx: _Ctx, node: BlockNode, pool: list[tuple]) -> None:
 
 
 def _list_insert(ctx: _Ctx, head_label: int, key: int) -> None:
-    """Find the first wave whose maximum priority is above the key's; re-wave from it."""
+    """Find the first wave whose maximum priority is above the key's; re-wave from it.
+
+    Waves ascend in priority, so a wave whose successor's label (its
+    smallest-priority key) ranks below the key is passed on that one hash.
+    """
     store, prio = ctx.store, ctx.prio
     pi_x = prio.priority(key)
     cur = head_label
     while True:
         node = store.read(cur)
         store.release(cur)
-        pool = [(prio.priority(k), k) for k in node.keys]
         nxt = node.children[0]
-        if pi_x < max(pool)[0] or nxt is None:
-            break
+        if nxt is None or pi_x < prio.priority(nxt.label):
+            pool = list(map(prio.priority, node.keys))
+            if nxt is None or pi_x < max(pool):
+                break
         ctx.path.append((cur, nxt.label, key))
         cur = nxt.label
-    _rewave(ctx, node, sorted(pool + [(pi_x, key)]))
+    pool.append(pi_x)
+    _rewave(ctx, node, sorted(pool))
 
 
 def _list_delete(ctx: _Ctx, head_label: int, key: int) -> None:
@@ -558,7 +564,7 @@ def _list_delete(ctx: _Ctx, head_label: int, key: int) -> None:
             raise MissingKeyError(f"key {key} not present")
         ctx.path.append((cur, nxt.label, key))
         cur = nxt.label
-    _rewave(ctx, node, sorted((prio.priority(k), k) for k in node.keys if k != key))
+    _rewave(ctx, node, sorted(prio.priority(k) for k in node.keys if k != key))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import random
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from rbst import Params, Tree, check_invariants, delete, insert
 from rbst.metrics import ExperimentConfig, bench_depth, bench_size, bench_updates, fast_build, sample_keys
@@ -116,6 +117,7 @@ def test_criterion_5_size_bound_statistical():
                f"load {load.mean:.4f}±{load.half_ci:.4f} >= 0.5")
 
 
+@pytest.mark.slow
 def test_criterion_6_depth_bound_statistical():
     cfg = ExperimentConfig(alphas=[2, 4, 8], eps_list=[0.5], ns=[100_000],
                            trials=30, seed_base=60, searches=1000)
@@ -132,6 +134,7 @@ def test_criterion_6_depth_bound_statistical():
     _report(6, "n=1e5, 30 seeds, 1000 searches each; " + "; ".join(lines))
 
 
+@pytest.mark.slow
 def test_criterion_7_update_write_efficiency():
     cfg = ExperimentConfig(alphas=[16], eps_list=[0.5], ns=[10_000, 100_000],
                            trials=30, seed_base=70, churn_ops=100)

@@ -1,3 +1,5 @@
+import struct
+
 import pytest
 
 from rbst import BlockStore, Params, Tree, insert
@@ -7,7 +9,7 @@ from rbst.errors import (
 )
 from rbst.oracle import oracle_tree
 from rbst.priority import ExplicitPriority, HashedPriority
-from rbst.store import parse_image
+from rbst.store import AuxHandle, parse_image
 
 
 def leaf(keys, alpha, label=None):
@@ -119,6 +121,26 @@ def test_pin_release_cycle():
         store.release(5)
 
 
+def test_pins_keep_label_and_aux_handle_apart():
+    store = BlockStore(2)
+    handle = store.write_aux(leaf([9], 2))
+    k = handle.id
+    store.blocks[k] = leaf([k], 2)
+    assert AuxHandle(k) == handle
+    store.read(k)
+    store.read(AuxHandle(k))
+    assert store.stats().cur_pinned == 2 and store.stats().peak_pinned == 2
+    store.release(k)
+    assert store.stats().cur_pinned == 1
+    with pytest.raises(AccountingError):
+        store.release(k)
+    store.release(AuxHandle(k))
+    assert store.stats().cur_pinned == 0
+    with pytest.raises(AccountingError):
+        store.release(AuxHandle(k))
+    assert store.stats().cur_pinned == 0
+
+
 def test_reset_stats_preserves_pins():
     store = BlockStore(2)
     store.blocks[5] = leaf([5], 2)
@@ -177,6 +199,24 @@ def test_image_bad_magic(tmp_path):
     raw[0] ^= 0xFF
     with pytest.raises(FormatError):
         parse_image(bytes(raw))
+
+
+def _empty_image(alpha: int) -> bytes:
+    # magic, version, alpha, rho, seed, n, root_present, root, block_count
+    return struct.pack("<4sHHIQQBQQ", b"RBST", 1, alpha, 0, 0, 0, 0, 0, 0)
+
+
+@pytest.mark.parametrize("alpha", [0, 65535])
+def test_image_alpha_out_of_range_names_field(alpha):
+    with pytest.raises(FormatError, match="alpha"):
+        parse_image(_empty_image(alpha))
+    with pytest.raises(FormatError, match="alpha"):
+        Tree.from_image_bytes(_empty_image(alpha))
+
+
+def test_image_largest_alpha_loads():
+    tree = Tree.from_image_bytes(_empty_image(65534))
+    assert tree.params == Params.unbuffered(65534) and tree.n == 0
 
 
 def test_image_truncated(tmp_path):

@@ -1,9 +1,13 @@
+import random
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from rbst.errors import InvalidPermutationError
-from rbst.priority import ExplicitPriority, priority_of, rank_of, rank_of_array
+from rbst.priority import (
+    MASK64, ExplicitPriority, HashedPriority, priority_of, rank_of, rank_of_array,
+)
 
 
 def test_deterministic():
@@ -18,6 +22,20 @@ def test_distinct_keys_never_equal():
         p = priority_of(key, 3)
         assert p not in seen
         seen[p] = key
+
+
+@pytest.mark.parametrize("seed", [0, 1, MASK64, (1 << 64) + 12345])
+def test_hashed_priority_matches_rank_of(seed):
+    # HashedPriority.priority inlines the format-defining mix with the seed's
+    # own mix precomputed; it must agree bit for bit with rank_of
+    rng = random.Random(seed)
+    keys = [0, 1, 1 << 63, MASK64] + [rng.getrandbits(64) for _ in range(500)]
+    prio = HashedPriority(seed)
+    assert prio.seed == seed & MASK64
+    ranks = rank_of_array(np.array(keys, dtype=np.uint64), seed)
+    for key, rank in zip(keys, ranks):
+        assert prio.priority(key) == priority_of(key, seed) == (int(rank), key)
+        assert prio.priority(key)[0] == rank_of(key, seed & MASK64)
 
 
 def test_explicit_identity_order():

@@ -10,8 +10,8 @@ from rbst.oracle import oracle_build
 from rbst.priority import ExplicitPriority, HashedPriority
 from rbst.store import parse_image
 from rbst.update import (
-    CASE_FANOUT_DECREASE, CASE_FANOUT_INCREASE, CASE_IN_ARRAY_DELETE, CASE_LIST_NEW_BLOCK,
-    locate_rebuild,
+    CASE_FANOUT_DECREASE, CASE_FANOUT_INCREASE, CASE_IN_ARRAY_DELETE, CASE_LIST_INSERT,
+    CASE_LIST_NEW_BLOCK, locate_rebuild,
 )
 
 from conftest import build_by_inserts
@@ -248,6 +248,35 @@ def test_receipt_accounts_for_image_diff(case):
             old_side - (r.freed_labels | r.rewritten_labels))
         assert new_side <= r.staged_labels | r.rewritten_labels
         assert len(old_side) <= r.m and len(new_side) <= r.m_prime
+
+
+@pytest.mark.parametrize("alpha", [1, 2, 3, 4])
+def test_list_insert_at_every_wave_boundary(alpha):
+    # a 40-key tree at rho=64 is one chain; a fresh key at each priority rank
+    # 0..40 lands once in every wave and once on every wave boundary
+    params = Params.explicit(alpha, 64)
+    rng = random.Random(alpha + 700)
+    keys = rng.sample(range(1 << 22), 40)
+    tree = build_by_inserts(keys, params, seed=alpha)
+    base = tree.image()
+    chain, ref = 0, tree.root
+    while ref is not None:
+        node = tree.store.peek(ref)
+        assert node.fanout == 1
+        chain += 1
+        ref = node.children[0].label if node.children[0] else None
+    for rank in range(len(keys) + 1):
+        tree = Tree.from_image_bytes(base)
+        k = _fresh_key_at(tree, keys, rng, rank / len(keys))
+        r = insert(tree, k)
+        assert r.cases == [CASE_LIST_INSERT]
+        assert tree.image() == oracle_build(keys + [k], tree.prio, params)
+        assert check_invariants(tree).ok
+        # the head once to classify it, then every block of the chain once
+        assert r.reads == chain + 1
+        # waves hold alpha keys each; the chain is rewritten from the wave the
+        # key joins, which is the later of the two waves at a boundary
+        assert r.freed == chain - min(rank // alpha, chain - 1)
 
 
 @pytest.mark.parametrize("case", range(12))
