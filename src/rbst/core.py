@@ -220,13 +220,16 @@ def range_count(tree: Tree, lo: int, hi: int) -> int:
     if tree.root is None:
         return 0
     store, prio = tree.store, tree.prio
-
-    def walk(label: int, ilo: int, ihi: int) -> int:
-        # ilo/ihi: exact open interval of this subtree
+    total = 0
+    # (label, weight, ilo, ihi): a pending subtree and its exact open interval
+    stack = [(tree.root, tree.n, NEG_INF, POS_INF)]
+    while stack:
+        label, weight, ilo, ihi = stack.pop()
         if lo <= ilo + 1 and ihi - 1 <= hi:
-            return -1  # sentinel: caller adds the stored weight instead
+            total += weight
+            continue
         node = store.read(label)
-        total = bisect_right(node.keys, hi) - bisect_left(node.keys, lo)
+        total += bisect_right(node.keys, hi) - bisect_left(node.keys, lo)
         if node.fanout <= 1:
             child = node.children[0]
             store.release(label)
@@ -235,21 +238,15 @@ def range_count(tree: Tree, lo: int, hi: int) -> int:
                 total += bisect_right(nxt.keys, hi) - bisect_left(nxt.keys, lo)
                 label, child = child.label, nxt.children[0]
                 store.release(label)
-            return total
+            continue
         seps = active_separators(node, prio)
         bounds = [ilo] + seps + [ihi]
-        slots = [(node.children[i], bounds[i], bounds[i + 1])
-                 for i in range(len(seps) + 1)]
         store.release(label)
-        for child, slo, shi in slots:
-            if child is None or shi - 1 < lo or slo + 1 > hi:
-                continue
-            sub = walk(child.label, slo, shi)
-            total += child.weight if sub == -1 else sub
-        return total
-
-    r = walk(tree.root, NEG_INF, POS_INF)
-    return tree.n if r == -1 else r
+        for i in range(len(seps), -1, -1):
+            child = node.children[i]
+            if child is not None and bounds[i + 1] - 1 >= lo and bounds[i] + 1 <= hi:
+                stack.append((child.label, child.weight, bounds[i], bounds[i + 1]))
+    return total
 
 
 def select_kth(tree: Tree, k: int) -> int:
@@ -257,10 +254,10 @@ def select_kth(tree: Tree, k: int) -> int:
     if not 1 <= k <= tree.n:
         raise InvalidRankError(f"rank {k} outside 1..{tree.n}")
     store, prio = tree.store, tree.prio
-
-    def walk(label: int, k: int, extras: list[int]) -> int:
-        # extras: keys inside this subtree's interval that live in the
-        # arrays of buffering ancestors; merged here by key value
+    # extras: keys inside the current subtree's interval that live in the
+    # arrays of buffering ancestors; merged here by key value
+    label, extras = tree.root, []
+    while True:
         node = store.read(label)
         if node.fanout <= 1:
             keys = sorted(node.keys + extras)
@@ -276,11 +273,10 @@ def select_kth(tree: Tree, k: int) -> int:
         seps = active_separators(node, prio)
         inactive = [key for key in node.keys if key not in seps]
         bounds = [NEG_INF] + seps + [POS_INF]
-        slots = [(node.children[i], bounds[i], bounds[i + 1])
-                 for i in range(len(seps) + 1)]
         store.release(label)
         acc = 0
-        for i, (child, slo, shi) in enumerate(slots):
+        for i in range(len(seps) + 1):
+            child, slo, shi = node.children[i], bounds[i], bounds[i + 1]
             here = sorted(
                 [key for key in inactive if slo < key < shi]
                 + [key for key in extras if slo < key < shi]
@@ -289,82 +285,57 @@ def select_kth(tree: Tree, k: int) -> int:
             if k <= acc + total:
                 if child is None:
                     return here[k - acc - 1]
-                return walk(child.label, k - acc, here)
+                label, k, extras = child.label, k - acc, here
+                break
             acc += total
             if i < len(seps):
                 acc += 1
                 if k == acc:
                     return seps[i]
-        raise InvalidRankError(f"rank walk exhausted block {label}")  # pragma: no cover
-
-    return walk(tree.root, k, [])
+        else:
+            raise InvalidRankError(f"rank walk exhausted block {label}")  # pragma: no cover
 
 
 def scan_keys(store: BlockStore, prio, root_label: int, lo: int, hi: int,
               on_key=None, on_block=None, pi_floor=None, exclude=()) -> None:
     """Visit every block of the subtree whose key interval can meet (lo, hi).
 
-    Iterative, parent-pointer driven: holds at most two pinned blocks.
-    Child intervals are derived from the visited block's own keys;
-    missing outer bounds widen the test, which never adds spurious
-    visits because a visited parent already overlaps (lo, hi).
+    Pre-order on an explicit stack of pending labels: each block is read
+    once and released before the next is read, so one block is pinned at a
+    time and the stack holds O(depth * alpha) labels.  Child intervals are
+    derived from the visited block's own keys; missing outer bounds widen
+    the test, which never adds spurious visits because a visited parent
+    already overlaps (lo, hi).
 
     on_key(key) runs for every stored key in (lo, hi) with priority above
     pi_floor and not in exclude; on_block(label, node) runs once per block.
     """
     excl = set(exclude)
-
-    def emit(node: BlockNode) -> None:
+    stack = [root_label]
+    while stack:
+        label = stack.pop()
+        node = store.read(label)
         if on_block is not None:
             on_block(node.label, node)
-        if on_key is None:
-            return
-        for key in node.keys[bisect_right(node.keys, lo): bisect_left(node.keys, hi)]:
-            if key in excl:
-                continue
-            if pi_floor is not None and prio.priority(key) <= pi_floor:
-                continue
-            on_key(key)
-
-    def children_in_range(node: BlockNode) -> list[int]:
+        if on_key is not None:
+            for key in node.keys[bisect_right(node.keys, lo): bisect_left(node.keys, hi)]:
+                if key in excl:
+                    continue
+                if pi_floor is not None and prio.priority(key) <= pi_floor:
+                    continue
+                on_key(key)
         if node.fanout <= 1:
-            return [0] if node.children[0] is not None else []
-        seps = active_separators(node, prio)
-        bounds = [NEG_INF] + seps + [POS_INF]
-        out = []
-        for i in range(len(seps) + 1):
-            child = node.children[i]
-            if child is None:
-                continue
-            if bounds[i] < hi and bounds[i + 1] > lo:
-                out.append(i)
-        return out
-
-    cur = root_label
-    came_from = None          # label of the child we just finished, None on first entry
-    while cur is not None:
-        node = store.read(cur)
-        slots = children_in_range(node)
-        if came_from is None:
-            emit(node)
-            nxt = slots[0] if slots else None
+            if node.children[0] is not None:
+                stack.append(node.children[0].label)
         else:
-            pos = None
-            for idx, s in enumerate(slots):
-                if node.children[s].label == came_from:
-                    pos = idx
-                    break
-            nxt = slots[pos + 1] if pos is not None and pos + 1 < len(slots) else None
-        if nxt is not None:
-            child_label = node.children[nxt].label
-            store.release(cur)
-            cur, came_from = child_label, None
-        else:
-            parent = node.parent
-            store.release(cur)
-            if cur == root_label:
-                return
-            cur, came_from = parent, cur
+            seps = active_separators(node, prio)
+            bounds = [NEG_INF] + seps + [POS_INF]
+            # reverse slot order, so the leftmost child is visited next
+            for i in range(len(seps), -1, -1):
+                child = node.children[i]
+                if child is not None and bounds[i] < hi and bounds[i + 1] > lo:
+                    stack.append(child.label)
+        store.release(label)
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,11 @@ bottom-up after all commits, and reported separately in the receipt.
 Insert, delete and the dry run `locate_rebuild` share one case decision
 per block on the search path (`_classify`).
 
-Main-memory discipline: scans are driven through parent references with a
-cursor and rebuilds through an explicit stack of staged blocks, so the
-number of simultaneously pinned blocks stays constant regardless of tree
-size.
+Main-memory discipline: scans keep an explicit stack of pending child
+labels and pin one block at a time, reading each block once; rebuilds run
+on an explicit stack of staged blocks, and a chain is built from one scan
+whose pool holds at most alpha + rho priorities.  So the number of
+simultaneously pinned blocks stays constant regardless of tree size.
 """
 
 from __future__ import annotations
@@ -299,30 +300,34 @@ def _assemble(ctx: _Ctx, lo: int, hi: int, weight: int, sources, include, exclud
 
 def _build_chain(ctx: _Ctx, lo: int, hi: int, weight: int, sources, include, exclude,
                  floor, parent: int | None, depth: int) -> int:
-    """Stage a chain of priority waves covering (lo, hi); returns the head label."""
-    alpha = ctx.alpha
-    prio = ctx.prio
-    inc = sorted((prio.priority(k), k) for k in include)
-    remaining = weight
-    head = None
-    first = True
-    while remaining > 0:
-        take = min(alpha, remaining)
-        cands, _ = _top_pass(ctx, sources, lo, hi, take + 1,
-                             floor=floor, exclude=exclude, record=first)
-        pool = sorted(cands + [p for p in inc if floor is None or p[0] > floor])[: take + 1]
-        wave = pool[:take]
-        label = wave[0][1]
+    """Stage a chain of priority waves covering (lo, hi); returns the head label.
+
+    One recorded scan collects the section's keys above `floor`; with the
+    include keys they are sorted by priority and cut into alpha-slices,
+    each wave linking to the first key of the next.  The pass holds at
+    most alpha + rho priorities, since fanout_bound(w) <= 1 means
+    w <= alpha + rho.
+    """
+    alpha, prio = ctx.alpha, ctx.prio
+    pool = [p for p in map(prio.priority, include) if floor is None or p > floor]
+
+    def on_key(key: int) -> None:
+        pool.append(prio.priority(key))
+
+    for src in sources:
+        scan_keys(ctx.store, prio, src, lo, hi, on_key=on_key,
+                  on_block=ctx.obsolete_recorder(), pi_floor=floor, exclude=exclude)
+    pool.sort()
+    assert len(pool) == weight, "section weight drifted"
+    for i in range(0, weight, alpha):
+        wave = pool[i:i + alpha]
         node = BlockNode(sorted(k for _, k in wave), [None] * (alpha + 1),
-                         parent, depth, 1, label)
-        if remaining > take:
-            node.children[0] = ChildRef(pool[take][1], remaining - take)
+                         parent, depth, 1, wave[0][1])
+        if i + alpha < weight:
+            node.children[0] = ChildRef(pool[i + alpha][1], weight - i - alpha)
         ctx.stage(node)
-        if head is None:
-            head = label
-        floor = wave[-1][0]
-        parent, depth, remaining, first = label, depth + 1, remaining - take, False
-    return head
+        parent, depth = node.label, depth + 1
+    return pool[0][1]
 
 
 def _build_fresh(ctx: _Ctx, lo: int, hi: int, weight: int, sources, include, exclude,
@@ -595,9 +600,9 @@ def _classify(tree: Tree, node: BlockNode, n_sub: int, key: int, pi_x, op: str):
     d_old = node.fanout
     if op == "insert":
         d_new = fanout_bound(n_sub + 1, params)
-        p_max = max(prio.priority(k) for k in node.keys)
-        in_array = n_sub < params.alpha or pi_x < p_max
-        if in_array and not (d_old <= 1 and d_new <= 1):
+        if d_old <= 1 and d_new <= 1:
+            return CASE_LIST_INSERT, [], [], [], key
+        if n_sub < params.alpha or pi_x < max(map(prio.priority, node.keys)):
             y = max(node.keys, key=prio.priority) if n_sub >= params.alpha else None
             pushed = [] if y is None else [y]
             new_arr = [k for k in node.keys if k != y] + [key]
@@ -605,10 +610,8 @@ def _classify(tree: Tree, node: BlockNode, n_sub: int, key: int, pi_x, op: str):
             active = key in _new_bounds(prio, new_arr, d_new, NEG_INF, POS_INF)
             case = CASE_IN_ARRAY_ACTIVE if active else CASE_IN_ARRAY_INACTIVE
             return case, new_arr, pushed, [], None
-        if not in_array and d_new > d_old:
+        if d_new > d_old:
             return CASE_FANOUT_INCREASE, list(node.keys), [], [], key
-        if d_old <= 1:
-            return CASE_LIST_INSERT, [], [], [], key
         return None
     d_new = fanout_bound(n_sub - 1, params)
     if d_old <= 1:

@@ -7,10 +7,11 @@ from rbst import (
     Params, Tree, check_invariants, fanout_bound, range_count,
     range_report, select_kth, successor,
 )
+from rbst.core import NEG_INF, POS_INF, active_separators, scan_keys
 from rbst.errors import ConfigError, InvalidRangeError, InvalidRankError
 from rbst.metrics import fast_build
 from rbst.oracle import oracle_tree
-from rbst.priority import HashedPriority
+from rbst.priority import ExplicitPriority, HashedPriority
 
 import numpy as np
 
@@ -189,3 +190,53 @@ def test_scan_matches_fast_build_key_set():
     got = range_report(tree, 0, (1 << 64) - 1)
     assert got == [int(k) for k in keys]
     assert range_count(tree, 0, (1 << 64) - 1) == len(keys)
+
+
+def test_rank_queries_on_a_3000_level_path():
+    # priorities follow key order, so every block holds one key and sends
+    # its successors right: a path 3,000 blocks deep
+    keys = list(range(1, 3001))
+    tree = oracle_tree(keys, ExplicitPriority.from_order(keys), Params.unbuffered(1))
+    for lo, hi in [(1, 3000), (2, 3000), (1, 2999), (1500, 2999), (2999, 3000), (0, 9999)]:
+        want = [k for k in keys if lo <= k <= hi]
+        assert range_count(tree, lo, hi) == len(want)
+        assert range_report(tree, lo, hi) == want
+    for k in (1, 2, 1500, 2999, 3000):
+        assert select_kth(tree, k) == keys[k - 1]
+
+
+def _preorder(store, prio, label, lo, hi, out):
+    node = store.peek(label)
+    out.append(label)
+    if node.fanout <= 1:
+        if node.children[0] is not None:
+            _preorder(store, prio, node.children[0].label, lo, hi, out)
+        return
+    bounds = [NEG_INF] + active_separators(node, prio) + [POS_INF]
+    for i, child in enumerate(node.children[:len(bounds) - 1]):
+        if child is not None and bounds[i] < hi and bounds[i + 1] > lo:
+            _preorder(store, prio, child.label, lo, hi, out)
+
+
+@pytest.mark.parametrize("case", range(24))
+def test_scan_reads_each_block_once_in_preorder(case):
+    rng = random.Random(case + 300)
+    params = Params.explicit(case % 4 + 1, rng.choice([0, 1, 2, 4, 30]))
+    keys = rng.sample(range(1 << 20), rng.randrange(1, 300))
+    tree = oracle_tree(keys, HashedPriority(case), params)
+    store = tree.store
+    ranges = [(NEG_INF, POS_INF)] + [sorted(rng.sample(range(-1, (1 << 20) + 1), 2))
+                                     for _ in range(10)]
+    for lo, hi in ranges:
+        want: list[int] = []
+        _preorder(store, tree.prio, tree.root, lo, hi, want)
+        visited: list[int] = []
+        store.reset_stats()
+        scan_keys(store, tree.prio, tree.root, lo, hi,
+                  on_block=lambda label, node: visited.append(label))
+        assert visited == want
+        assert store.stats().reads == len(visited)
+        assert store.stats().peak_pinned == 1
+        assert store.stats().cur_pinned == 0
+        if (lo, hi) == (NEG_INF, POS_INF):
+            assert sorted(visited) == sorted(store.blocks)

@@ -3,15 +3,17 @@ from bisect import bisect_left
 
 import pytest
 
-from rbst import BlockStore, Params, Tree, check_invariants, delete, insert, top
+from rbst import (
+    BlockStore, Params, Tree, check_invariants, delete, fanout_bound, insert, top,
+)
 from rbst.core import active_separators
 from rbst.errors import ConfigError, DuplicateKeyError, MissingKeyError
-from rbst.oracle import oracle_build
+from rbst.oracle import oracle_build, oracle_tree
 from rbst.priority import ExplicitPriority, HashedPriority
 from rbst.store import parse_image
 from rbst.update import (
-    CASE_FANOUT_DECREASE, CASE_FANOUT_INCREASE, CASE_IN_ARRAY_DELETE, CASE_LIST_INSERT,
-    CASE_LIST_NEW_BLOCK, locate_rebuild,
+    CASE_FANOUT_DECREASE, CASE_FANOUT_INCREASE, CASE_IN_ARRAY_ACTIVE, CASE_IN_ARRAY_DELETE,
+    CASE_LIST_INSERT, CASE_LIST_NEW_BLOCK, _classify, locate_rebuild,
 )
 
 from conftest import build_by_inserts
@@ -277,6 +279,50 @@ def test_list_insert_at_every_wave_boundary(alpha):
         # waves hold alpha keys each; the chain is rewritten from the wave the
         # key joins, which is the later of the two waves at a boundary
         assert r.freed == chain - min(rank // alpha, chain - 1)
+
+
+class _CountingPriority(HashedPriority):
+    calls = 0
+
+    def priority(self, key):
+        self.calls += 1
+        return super().priority(key)
+
+
+@pytest.mark.parametrize("alpha", [1, 2, 4])
+def test_list_insert_classified_without_hashing(alpha):
+    # a fan-out-1 chain head that stays fan-out 1 is a list-insert whatever
+    # the key's priority, so the classifier needs no hash of its keys
+    params = Params.explicit(alpha, 64)
+    keys = random.Random(alpha).sample(range(1 << 22), 30)
+    prio = _CountingPriority(alpha)
+    tree = oracle_tree(keys, prio, params)
+    head = tree.store.peek(tree.root)
+    assert head.fanout == 1 and fanout_bound(tree.n + 1, params) == 1
+    pi_x = prio.priority(1 << 23)
+    prio.calls = 0
+    step = _classify(tree, head, tree.n, 1 << 23, pi_x, "insert")
+    assert step[0] == CASE_LIST_INSERT
+    assert prio.calls == 0
+
+
+@pytest.mark.parametrize("rho", [40, 80, 160])
+def test_chain_rebuild_reads_linear(rho):
+    # n = alpha + rho + 1 keys: the root has fan-out 2 and a chain below each
+    # separator; a key of lowest priority joins the root and pushes its
+    # maximum down, so the chains are rebuilt, each from one scan
+    alpha = 2
+    rng = random.Random(rho)
+    keys = rng.sample(range(1 << 22), alpha + rho + 2)
+    x = keys.pop()
+    params = Params.explicit(alpha, rho)
+    prio = ExplicitPriority.from_order([x] + keys)
+    tree = oracle_tree(keys, prio, params)
+    assert tree.store.peek(tree.root).fanout == 2
+    r = insert(tree, x)
+    assert r.cases == [CASE_IN_ARRAY_ACTIVE]
+    assert tree.image() == oracle_build(keys + [x], prio, params)
+    assert r.reads <= 4 * r.freed + 8, (r.reads, r.freed)
 
 
 @pytest.mark.parametrize("case", range(12))
