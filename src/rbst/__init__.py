@@ -8,12 +8,12 @@ from .core import (
 from .oracle import oracle_build, oracle_tree, treap_reference
 from .priority import ExplicitPriority, HashedPriority, priority_of
 from .store import BlockStore, ImageHeader, IoStats
-from .update import RebuildPlan, UpdateReceipt, delete, insert, locate_rebuild, top
+from .update import UpdateReceipt, delete, insert
 
 __all__ = [
     "BlockNode", "BlockStore", "ChildRef", "ExplicitPriority", "HashedPriority",
-    "ImageHeader", "IoStats", "Params", "RebuildPlan", "Tree", "UpdateReceipt",
-    "check_invariants", "delete", "fanout_bound", "insert", "locate_rebuild",
+    "ImageHeader", "IoStats", "Params", "Tree", "UpdateReceipt",
+    "check_invariants", "delete", "fanout_bound", "insert",
     "oracle_build", "oracle_tree", "priority_of", "range_count",
-    "range_report", "select_kth", "successor", "top", "treap_reference",
+    "range_report", "select_kth", "successor", "treap_reference",
 ]

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import struct
 
-from .errors import InvalidBlockError
+from .errors import FormatError, InvalidBlockError
 
 MASK64 = (1 << 64) - 1
 
@@ -120,6 +120,10 @@ def pack_record(node: BlockNode, alpha: int) -> bytes:
 def unpack_record(buf: bytes, alpha: int, label: int) -> BlockNode:
     vals = _record_struct(alpha).unpack(buf)
     depth, key_count, fanout, parent_present, parent = vals[:5]
+    if not 1 <= key_count <= alpha:
+        raise FormatError(f"block {label}: key_count {key_count} outside 1..{alpha}")
+    if not 1 <= fanout <= alpha + 1:
+        raise FormatError(f"block {label}: fanout_state {fanout} outside 1..{alpha + 1}")
     keys = list(vals[5:5 + key_count])
     children = []
     base = 5 + alpha

@@ -7,14 +7,15 @@ anchor only the separator intervals whose key content changes are laid
 out again; every other child subtree is re-linked untouched.  Rebuilt
 sections are assembled into auxiliary storage with range-limited scans
 of the old subtrees and promoted to the UR region in one atomic commit.
-Chains (fan-out one) are re-waved in one linear pass that insert and delete share.
+Chains (fan-out one) are cut into priority waves by one emitter, `_waves`,
+whether a rebuilt section becomes a chain or an update re-waves an old one.
 
 Ancestor blocks on the search path keep their layout but carry a child
 weight that changed by one; those are in-place field rewrites, applied
 bottom-up after all commits, and reported separately in the receipt.
 
-Insert, delete and the dry run `locate_rebuild` share one case decision
-per block on the search path (`_classify`).
+Insert and delete share one case decision per block on the search path
+(`_classify`).
 
 Main-memory discipline: scans keep an explicit stack of pending child
 labels and pin one block at a time, reading each block once; rebuilds run
@@ -56,19 +57,6 @@ class PlanSection:
     include: list[int] = field(default_factory=list)
     exclude: list[int] = field(default_factory=list)
     reuse: ChildRef | None = None
-
-
-@dataclass
-class RebuildPlan:
-    op: str
-    key: int
-    case: str
-    anchor: int | None
-    depth: int
-    interval: tuple[int, int]
-    sections: list[PlanSection]
-    carry: int | None = None
-    descends_into: int | None = None   # old child label the update continues into
 
 
 @dataclass
@@ -170,15 +158,13 @@ class _Ctx:
 # ---------------------------------------------------------------------------
 
 
-def _top_pass(ctx: _Ctx, sources, lo: int, hi: int, k: int,
-              floor=None, exclude=(), record=False):
-    """k smallest-priority stored keys in (lo, hi) plus the total count.
+def _top_pass(ctx: _Ctx, sources, lo: int, hi: int, floor, exclude):
+    """alpha smallest-priority stored keys in (lo, hi) plus the total count.
 
-    Scans each source subtree once; with `record`, every visited block is
-    marked obsolete.  Keys with priority <= floor and excluded keys are
-    skipped.
+    Scans each source subtree once and marks every visited block obsolete.
+    Keys with priority <= floor and excluded keys are skipped.
     """
-    prio = ctx.prio
+    prio, k = ctx.prio, ctx.alpha
     cands: list[tuple] = []
     total = 0
 
@@ -192,7 +178,7 @@ def _top_pass(ctx: _Ctx, sources, lo: int, hi: int, k: int,
             insort(cands, (p, key))
             cands.pop()
 
-    on_block = ctx.obsolete_recorder() if record else None
+    on_block = ctx.obsolete_recorder()
     for src in sources:
         scan_keys(ctx.store, prio, src, lo, hi, on_key=on_key,
                   on_block=on_block, pi_floor=floor, exclude=exclude)
@@ -264,8 +250,7 @@ def _assemble(ctx: _Ctx, lo: int, hi: int, weight: int, sources, include, exclud
     """
     alpha = ctx.alpha
     prio = ctx.prio
-    cands, total = _top_pass(ctx, sources, lo, hi, alpha,
-                             floor=floor, exclude=exclude, record=True)
+    cands, total = _top_pass(ctx, sources, lo, hi, floor, exclude)
     merged = sorted(cands + [(prio.priority(k), k) for k in include])
     assert total + len(include) == weight, "section weight drifted"
     arr_pi = merged[:alpha]
@@ -298,17 +283,51 @@ def _assemble(ctx: _Ctx, lo: int, hi: int, weight: int, sources, include, exclud
     return node, specs
 
 
+def _waves(ctx: _Ctx, pool: list[tuple], below: ChildRef | None,
+           parent: int | None, depth: int) -> int | None:
+    """Stage `pool` and the old chain at `below` as linked waves; returns the head.
+
+    `pool` holds ascending (rank, key) priorities that all rank below the
+    chain at `below` (None for no chain).  The chain's blocks are read one
+    at a time, marked obsolete and appended to the pool; the alpha smallest
+    keys leave as the next wave whenever the pool holds more than alpha
+    keys or the chain is used up.
+    """
+    store, prio, alpha = ctx.store, ctx.prio, ctx.alpha
+    head = pool[0][1] if pool else (below.label if below else None)
+    i = 0
+    while i < len(pool) or below is not None:
+        if len(pool) - i <= alpha and below is not None:
+            nxt = store.read(below.label)
+            store.release(below.label)
+            ctx.mark_obsolete(below.label, nxt.depth)
+            del pool[:i]  # emitted waves: a re-wave pools at most 2 * alpha keys
+            i = 0
+            pool += sorted(map(prio.priority, nxt.keys))
+            below = nxt.children[0]
+            continue
+        wave = pool[i:i + alpha]
+        i += alpha
+        node = BlockNode(sorted(k for _, k in wave), [None] * (alpha + 1),
+                         parent, depth, 1, wave[0][1])
+        if i < len(pool):
+            node.children[0] = ChildRef(pool[i][1],
+                                        len(pool) - i + (below.weight if below else 0))
+        ctx.stage(node)
+        parent, depth = node.label, depth + 1
+    return head
+
+
 def _build_chain(ctx: _Ctx, lo: int, hi: int, weight: int, sources, include, exclude,
                  floor, parent: int | None, depth: int) -> int:
     """Stage a chain of priority waves covering (lo, hi); returns the head label.
 
     One recorded scan collects the section's keys above `floor`; with the
-    include keys they are sorted by priority and cut into alpha-slices,
-    each wave linking to the first key of the next.  The pass holds at
-    most alpha + rho priorities, since fanout_bound(w) <= 1 means
+    include keys they are sorted by priority and cut into waves.  The pass
+    holds at most alpha + rho priorities, since fanout_bound(w) <= 1 means
     w <= alpha + rho.
     """
-    alpha, prio = ctx.alpha, ctx.prio
+    prio = ctx.prio
     pool = [p for p in map(prio.priority, include) if floor is None or p > floor]
 
     def on_key(key: int) -> None:
@@ -319,15 +338,7 @@ def _build_chain(ctx: _Ctx, lo: int, hi: int, weight: int, sources, include, exc
                   on_block=ctx.obsolete_recorder(), pi_floor=floor, exclude=exclude)
     pool.sort()
     assert len(pool) == weight, "section weight drifted"
-    for i in range(0, weight, alpha):
-        wave = pool[i:i + alpha]
-        node = BlockNode(sorted(k for _, k in wave), [None] * (alpha + 1),
-                         parent, depth, 1, wave[0][1])
-        if i + alpha < weight:
-            node.children[0] = ChildRef(pool[i + alpha][1], weight - i - alpha)
-        ctx.stage(node)
-        parent, depth = node.label, depth + 1
-    return pool[0][1]
+    return _waves(ctx, pool, None, parent, depth)
 
 
 def _build_fresh(ctx: _Ctx, lo: int, hi: int, weight: int, sources, include, exclude,
@@ -498,37 +509,9 @@ def _run_anchor(ctx: _Ctx, node: BlockNode, lo: int, hi: int, n_new: int,
 
 
 def _rewave(ctx: _Ctx, node: BlockNode, pool: list[tuple]) -> None:
-    """Rewrite a chain from `node` down as priority waves; one read per block.
-
-    `pool` holds the (rank, key) priorities of the keys that replace the
-    node's array, ascending.  Every key in it ranks below every key further
-    down the chain, so the blocks below are appended to it one at a time,
-    and the alpha smallest keys leave as the next wave whenever the pool
-    holds more than alpha keys or the chain below is used up.
-    """
-    store, prio, alpha = ctx.store, ctx.prio, ctx.alpha
+    """Rewrite the chain from `node` down with `pool`'s keys in place of its array."""
     ctx.mark_obsolete(node.label, node.depth)
-    below = node.children[0]
-    parent, depth, head = node.parent, node.depth, None
-    while pool or below is not None:
-        if len(pool) <= alpha and below is not None:
-            nxt = store.read(below.label)
-            store.release(below.label)
-            ctx.mark_obsolete(below.label, nxt.depth)
-            pool += sorted(map(prio.priority, nxt.keys))
-            below = nxt.children[0]
-            continue
-        wave, pool = pool[:alpha], pool[alpha:]
-        new = BlockNode(sorted(k for _, k in wave), [None] * (alpha + 1),
-                        parent, depth, 1, wave[0][1])
-        if pool or below is not None:
-            link = pool[0][1] if pool else below.label
-            new.children[0] = ChildRef(link, len(pool) + (below.weight if below else 0))
-        ctx.stage(new)
-        if head is None:
-            head = new.label
-        parent, depth = new.label, depth + 1
-    ctx.relabels[node.label] = head
+    ctx.relabels[node.label] = _waves(ctx, pool, node.children[0], node.parent, node.depth)
     ctx.commit_site()
 
 
@@ -730,71 +713,3 @@ def insert(tree: Tree, key: int) -> UpdateReceipt:
 def delete(tree: Tree, key: int) -> UpdateReceipt:
     """Delete a key; the resulting image equals a fresh build of the new set."""
     return _update(tree, key, "delete")
-
-
-# ---------------------------------------------------------------------------
-# public planning and range probes
-# ---------------------------------------------------------------------------
-
-
-def top(tree: Tree, k: int, root_label: int, lo: int, hi: int):
-    """k smallest-priority keys of the subtree's keys in open (lo, hi).
-
-    Returns (keys in ascending priority order, leftover counts per gap
-    between the reported keys in key order); the counts sum to the number
-    of unreported keys in range.
-    """
-    if not 1 <= k <= tree.params.alpha:
-        raise ConfigError(f"k={k} outside 1..alpha")
-    ctx = _Ctx(tree)
-    cands, total = _top_pass(ctx, [root_label], lo, hi, k)
-    keys_by_pi = [key for _, key in cands]
-    reported = sorted(keys_by_pi)
-    gaps = [0] * (len(reported) + 1)
-
-    def on_key(key: int) -> None:
-        gaps[bisect_right(reported, key)] += 1
-
-    scan_keys(tree.store, tree.prio, root_label, lo, hi,
-              on_key=on_key, exclude=set(reported))
-    assert sum(gaps) == total - len(reported)
-    return keys_by_pi, gaps
-
-
-def locate_rebuild(tree: Tree, key: int, op: str = "insert") -> RebuildPlan:
-    """Dry-run descent: the first anchor the update for `key` would rebuild."""
-    if op not in ("insert", "delete"):
-        raise ConfigError(f"op {op!r} not insert/delete")
-    _check_update(tree, key, op)
-    if tree.root is None:
-        return RebuildPlan(op, key, CASE_LIST_NEW_BLOCK, None, 0,
-                           (NEG_INF, POS_INF), [])
-    pi_x = tree.prio.priority(key) if op == "insert" else None
-    cur, n_sub, lo, hi, depth = tree.root, tree.n, NEG_INF, POS_INF, 0
-    while True:
-        node = tree.store.read(cur)
-        tree.store.release(cur)
-        step = _classify(tree, node, n_sub, key, pi_x, op)
-        if step is not None:
-            break
-        child, sub_lo, sub_hi = _follow(node, tree.prio, key, lo, hi)
-        if child is None:
-            return RebuildPlan(op, key, CASE_LIST_NEW_BLOCK, cur, depth, (lo, hi), [])
-        cur, n_sub, lo, hi, depth = child.label, child.weight, sub_lo, sub_hi, depth + 1
-    case, new_arr, adds, removes, key_below = step
-    plan = RebuildPlan(op, key, case, cur, depth, (lo, hi), [])
-    if case in (CASE_LIST_INSERT, CASE_LIST_DELETE):
-        return plan
-    d_new = fanout_bound(n_sub + (1 if op == "insert" else -1), tree.params)
-    secs = _diff_sections(_Ctx(tree), node, lo, hi, new_arr, d_new, adds, removes)
-    # sections that change content: not reused and not empty no-ops
-    plan.sections = [s for s in secs if s.reuse is None and (s.weight > 0 or s.sources)]
-    if key_below is None:
-        plan.carry = next(iter(adds + removes), None)
-        return plan
-    landing = next(s for s in secs if s.lo < key_below < s.hi)
-    if landing.reuse is not None:
-        plan.descends_into = landing.reuse.label
-    else:
-        plan.carry = key_below
-    return plan

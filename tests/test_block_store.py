@@ -241,6 +241,22 @@ def test_image_dangling_child_names_label():
         parse_image(tree.image())
 
 
+@pytest.mark.parametrize("field,offset,value", [
+    ("key_count", 4, 0), ("key_count", 4, 9), ("fanout_state", 6, 0), ("fanout_state", 6, 4),
+])
+def test_image_bad_record_field_names_field_and_label(field, offset, value):
+    # at alpha 2 a record's key_count lies in 1..2 and its fanout_state in 1..3
+    tree = Tree.empty(Params.explicit(2, 1), seed=0)
+    for k in range(10, 310, 10):
+        insert(tree, k)
+    raw = bytearray(tree.image())
+    at = len(Tree.empty(tree.params).image())  # header size: the first label follows
+    (label,) = struct.unpack_from("<Q", raw, at)
+    struct.pack_into("<H", raw, at + 8 + offset, value)
+    with pytest.raises(FormatError, match=f"block {label}: {field} {value} "):
+        Tree.from_image_bytes(bytes(raw))
+
+
 def test_empty_tree_image():
     tree = Tree.empty(Params.of(2, 0.5), seed=3)
     store, header = parse_image(tree.image())

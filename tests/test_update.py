@@ -3,17 +3,16 @@ from bisect import bisect_left
 
 import pytest
 
-from rbst import (
-    BlockStore, Params, Tree, check_invariants, delete, fanout_bound, insert, top,
-)
+import rbst.update as upd
+from rbst import BlockStore, Params, Tree, check_invariants, delete, fanout_bound, insert
 from rbst.core import active_separators
-from rbst.errors import ConfigError, DuplicateKeyError, MissingKeyError
+from rbst.errors import DuplicateKeyError, MissingKeyError
 from rbst.oracle import oracle_build, oracle_tree
 from rbst.priority import ExplicitPriority, HashedPriority
 from rbst.store import parse_image
 from rbst.update import (
     CASE_FANOUT_DECREASE, CASE_FANOUT_INCREASE, CASE_IN_ARRAY_ACTIVE, CASE_IN_ARRAY_DELETE,
-    CASE_LIST_INSERT, CASE_LIST_NEW_BLOCK, _classify, locate_rebuild,
+    CASE_LIST_INSERT, CASE_LIST_NEW_BLOCK, _classify,
 )
 
 from conftest import build_by_inserts
@@ -92,12 +91,6 @@ def test_insert_then_delete_restores_image():
         assert tree.image() == img
 
 
-def test_plan_empty_tree_is_new_block():
-    tree = Tree.empty(Params.of(2, 0.5), seed=0)
-    plan = locate_rebuild(tree, 5, "insert")
-    assert plan.case == CASE_LIST_NEW_BLOCK and plan.anchor is None
-
-
 def test_plan_globally_smallest_priority_anchors_at_root():
     keys = list(range(10, 70))
     order = sorted(keys)  # ranks by key order; new key 5 gets rank below all
@@ -106,76 +99,85 @@ def test_plan_globally_smallest_priority_anchors_at_root():
     tree = Tree(BlockStore(3), params, prio)
     for k in keys:
         insert(tree, k)
-    plan = locate_rebuild(tree, 5, "insert")
-    assert plan.anchor == tree.root and plan.depth == 0
-    assert plan.case.startswith("in-array")
+    old_root = tree.root
+    r = insert(tree, 5)
+    assert r.cases[0].startswith("in-array")
+    # the root block is the anchor: it is rebuilt at depth 0 and takes key 5's label
+    assert old_root in r.freed_labels and 5 in r.staged_labels and tree.root == 5
+    assert tree.store.peek(5).depth == 0
 
 
-def test_plan_bounds_by_case(rng):
+def _watch_anchors(monkeypatch):
+    """Record every anchor a real update rebuilds.
+
+    Each record holds the case, whether the old fan-out is full, the
+    sections `_diff_sections` schedules for rebuilding and whether the
+    update descends below the anchor.  At an in-array delete it checks that
+    the rebuilt sections lie between consecutive separators of the new anchor.
+    """
+    seen = []
+    diff_sections, run_anchor = upd._diff_sections, upd._run_anchor
+
+    def watched_diff(*args):
+        secs = diff_sections(*args)
+        # snapshot now: _run_anchor then adds the update key to its landing section
+        seen[-1]["sections"] = [(s.lo, s.hi, [r.label for r in s.sources]) for s in secs
+                                if s.reuse is None and (s.weight > 0 or s.sources)]
+        return secs
+
+    def watched_run(ctx, node, lo, hi, n_new, new_arr, *args):
+        seen.append({"case": ctx.cases[-1], "full": node.fanout == ctx.alpha + 1,
+                     "sections": []})
+        cont = run_anchor(ctx, node, lo, hi, n_new, new_arr, *args)
+        seen[-1]["descends"] = cont is not None
+        if seen[-1]["case"] == CASE_IN_ARRAY_DELETE and new_arr:
+            anchor = ctx.store.peek(min(new_arr, key=ctx.prio.priority))
+            bounds = [lo] + active_separators(anchor, ctx.prio) + [hi]
+            got = {(a, b) for a, b, _ in seen[-1]["sections"]}
+            assert got <= set(zip(bounds, bounds[1:])), seen[-1]
+        return cont
+
+    monkeypatch.setattr(upd, "_diff_sections", watched_diff)
+    monkeypatch.setattr(upd, "_run_anchor", watched_run)
+    return seen
+
+
+def test_plan_bounds_by_case(rng, monkeypatch):
     # the algorithm's contract: fan-out changes touch at most two rebuilt
     # sections plus the key's own landing; an in-array rebuild at a primary
     # block touches at most three; buffering in-array anchors can reach four
+    anchors = _watch_anchors(monkeypatch)
     for alpha, rho in [(2, 1), (3, 2), (4, 4), (3, 0), (1, 2)]:
         params = Params.explicit(alpha, rho)
         tree = Tree.empty(params, seed=alpha)
         present, uni = [], rng.sample(range(1 << 28), 300)
         for _ in range(500):
             if present and rng.random() < 0.45:
-                k = present.pop(rng.randrange(len(present)))
-                plan = locate_rebuild(tree, k, "delete")
-                op = delete
+                delete(tree, present.pop(rng.randrange(len(present))))
             elif uni:
-                k = uni.pop()
-                present.append(k)
-                plan = locate_rebuild(tree, k, "insert")
-                op = insert
+                present.append(uni.pop())
+                insert(tree, present[-1])
             else:
                 break
-            if plan.case == CASE_FANOUT_INCREASE:
-                assert len(plan.sections) <= 3
-                sources = {ref.label for s in plan.sections for ref in s.sources}
-                descended = 1 if plan.descends_into is not None else 0
-                assert len(sources) + descended <= 2
-            elif plan.case == CASE_FANOUT_DECREASE:
-                assert len(plan.sections) <= 2
-            elif plan.anchor is not None and plan.case.startswith("in-array"):
-                anchor_fanout = tree.store.peek(plan.anchor).fanout
-                cap = 3 if anchor_fanout == alpha + 1 else 4
-                assert len(plan.sections) <= cap, (plan.case, plan.sections)
-            op(tree, k)
-
-
-def test_top_whole_subtree_returns_array(rng):
-    params = Params.explicit(3, 2)
-    keys = rng.sample(range(1 << 20), 120)
-    tree = build_by_inserts(keys, params, seed=6)
-    root = tree.store.peek(tree.root)
-    got_keys, gaps = top(tree, 3, tree.root, -1, 1 << 64)
-    assert sorted(got_keys) == root.keys
-    # reported in ascending priority order
-    prios = [tree.prio.priority(k) for k in got_keys]
-    assert prios == sorted(prios)
-    # gap counts equal the stored child weights of the full-fanout root
-    if root.fanout == 4:
-        want = [c.weight if c else 0 for c in root.children]
-        assert gaps == want
-    assert sum(gaps) == len(keys) - 3
-
-
-def test_top_empty_range():
-    tree = build_by_inserts([10, 20, 30], Params.unbuffered(3), seed=1)
-    keys, gaps = top(tree, 3, tree.root, 21, 29)
-    assert keys == [] and gaps == [0]
-
-
-def test_top_k_bounds():
-    tree = build_by_inserts([10, 20], Params.unbuffered(2), seed=1)
-    with pytest.raises(ConfigError):
-        top(tree, 3, tree.root, 0, 100)
+    assert {a["case"] for a in anchors} >= {
+        CASE_FANOUT_INCREASE, CASE_FANOUT_DECREASE, CASE_IN_ARRAY_DELETE}
+    for a in anchors:
+        secs = a["sections"]
+        if a["case"] == CASE_FANOUT_INCREASE:
+            assert len(secs) <= 3
+            sources = {label for _, _, labels in secs for label in labels}
+            assert len(sources) + a["descends"] <= 2, a
+        elif a["case"] == CASE_FANOUT_DECREASE:
+            assert len(secs) <= 2, a
+        else:
+            cap = 3 if a["full"] else 4
+            assert len(secs) <= cap, a
 
 
 @pytest.mark.parametrize("case", range(40))
 def test_top_against_flat_scan(case):
+    # a rebuild's top pass: the alpha smallest-priority keys of a range,
+    # leaving out excluded keys and those at or below a priority floor
     rng = random.Random(case + 100)
     alpha, rho = GRID[case % len(GRID)]
     params = Params.explicit(alpha, rho)
@@ -185,18 +187,12 @@ def test_top_against_flat_scan(case):
     tree = build_by_inserts(keys, params, seed=0, prio=prio)
     lo = rng.randrange(-1, 1000)
     hi = lo + rng.randrange(0, 1000 - max(lo, 0))
-    k = rng.randrange(1, alpha + 1)
-    got_keys, gaps = top(tree, k, tree.root, lo, hi)
-    in_range = [key for key in keys if lo < key < hi]
-    want = sorted(in_range, key=prio.priority)[:k]
-    assert got_keys == want
-    reported = sorted(got_keys)
-    want_gaps = [0] * (len(reported) + 1)
-    import bisect
-    for key in in_range:
-        if key not in reported:
-            want_gaps[bisect.bisect_right(reported, key)] += 1
-    assert gaps == want_gaps
+    floor = prio.priority(rng.choice(keys)) if case % 2 else None
+    exclude = rng.sample(keys, n // 4)
+    cands, total = upd._top_pass(upd._Ctx(tree), [tree.root], lo, hi, floor, exclude)
+    want = sorted((prio.priority(k), k) for k in keys if lo < k < hi and k not in exclude)
+    want = [c for c in want if floor is None or c[0] > floor]
+    assert cands == want[:alpha] and total == len(want)
 
 
 def _image_diff(before: bytes, after: bytes):
@@ -382,54 +378,40 @@ def test_observation_audit_constants(alpha, rho):
         assert r.reads <= 4 * (r.m_prime + r.d_prime * r.m) + 4, r
 
 
-def _planned_update(tree, k, op):
-    # run the dry-run plan, then the update it previews, and check they agree
-    plan = locate_rebuild(tree, k, op)
-    r = (insert if op == "insert" else delete)(tree, k)
-    assert r.cases[0] == plan.case
-    if plan.case.startswith("fanout"):
-        assert (plan.carry is None) == (plan.descends_into is not None), plan
-    if plan.case == CASE_IN_ARRAY_DELETE:
-        # rebuilt sections lie between consecutive separators of the new anchor
-        new = [tree.store.peek(l) for l in r.staged_labels
-               if tree.store.peek(l).depth == plan.depth]
-        seps = active_separators(new[0], tree.prio) if new else []
-        bounds = [plan.interval[0]] + seps + [plan.interval[1]]
-        assert {(s.lo, s.hi) for s in plan.sections} <= set(zip(bounds, bounds[1:])), plan
-    return plan
-
-
 def test_case_frequency_cross_check(rng):
-    # every update's plan case must be consistent with what actually changed
+    # every update leaves the image of a fresh build, and the workload
+    # exercises list, in-array and fan-out cases
     params = Params.explicit(2, 2)
     tree = Tree.empty(params, seed=10)
     present = []
-    counts = {}
+    cases = set()
     for i in range(400):
         if present and rng.random() < 0.45:
-            k = present.pop(rng.randrange(len(present)))
-            plan = _planned_update(tree, k, "delete")
+            r = delete(tree, present.pop(rng.randrange(len(present))))
         else:
             k = rng.randrange(1 << 26)
             if k in present:
                 continue
             present.append(k)
-            plan = _planned_update(tree, k, "insert")
-        counts[plan.case] = counts.get(plan.case, 0) + 1
-    # the workload must have exercised list, in-array, and fan-out cases
-    assert any(c.startswith("list") for c in counts)
-    assert any(c.startswith("in-array") for c in counts)
-    assert any(c.startswith("fanout") for c in counts)
+            r = insert(tree, k)
+        cases.update(r.cases)
+        assert tree.image() == oracle_build(present, tree.prio, params)
+    assert any(c.startswith("list") for c in cases)
+    assert any(c.startswith("in-array") for c in cases)
+    assert any(c.startswith("fanout") for c in cases)
     # key 0 is a legal key and block label: small trees that hold it
     for trial in range(60):
         params = Params.explicit(rng.choice((1, 2, 3)), rng.choice((1, 2)))
         keys = [0] + rng.sample(range(1, 200), rng.randrange(4, 40))
         rng.shuffle(keys)
         tree = Tree.empty(params, seed=trial)
-        for k in keys:
-            _planned_update(tree, k, "insert")
-        for k in rng.sample(keys, len(keys)):
-            _planned_update(tree, k, "delete")
+        for i, k in enumerate(keys):
+            insert(tree, k)
+            assert tree.image() == oracle_build(keys[:i + 1], tree.prio, params)
+        order = rng.sample(keys, len(keys))
+        for i, k in enumerate(order):
+            delete(tree, k)
+            assert tree.image() == oracle_build(order[i + 1:], tree.prio, params)
     assert tree.n == 0
 
 
