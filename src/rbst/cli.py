@@ -16,6 +16,18 @@ from .selfcheck import run_verification
 from .update import delete, insert
 
 
+# keys each demo op takes; any other count is a usage error
+_DEMO_KEYS = {"init": 0, "insert": 1, "delete": 1, "successor": 1, "range": 2, "check": 0}
+
+
+class _DemoKeys(argparse.Action):
+    def __call__(self, parser, namespace, values, option_string=None):
+        want = _DEMO_KEYS[namespace.op]
+        if len(values) != want:
+            parser.error(f"{namespace.op} takes {want} key(s), got {len(values)}")
+        setattr(namespace, self.dest, values)
+
+
 def _int_list(text: str) -> list[int]:
     return [int(v) for v in text.split(",") if v]
 
@@ -185,8 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c-rho", type=int, default=108, dest="c_rho")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--no-buffering", action="store_true", dest="no_buffering")
-    p.add_argument("op", choices=["init", "insert", "delete", "successor", "range", "check"])
-    p.add_argument("key", type=int, nargs="*")
+    p.add_argument("op", choices=_DEMO_KEYS)
+    p.add_argument("key", type=int, nargs="*", action=_DemoKeys)
     p.set_defaults(fn=_cmd_demo)
 
     p = sub.add_parser("dump", help="pretty-print a store image")

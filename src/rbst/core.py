@@ -55,10 +55,6 @@ class Params:
         return cls(alpha, math.ceil(c_rho * alpha / eps))
 
     @classmethod
-    def explicit(cls, alpha: int, rho: int) -> "Params":
-        return cls(alpha, rho)
-
-    @classmethod
     def unbuffered(cls, alpha: int) -> "Params":
         return cls(alpha, 0)
 

@@ -27,7 +27,7 @@ def check_ur_grid(cases: int, seed: int = 11, n_max: int = 64):
     grid = [(a, r) for a in (1, 2, 3, 4) for r in (0, 1, 2, 4)]
     for case in range(cases):
         alpha, rho = grid[case % len(grid)]
-        params = Params.explicit(alpha, rho)
+        params = Params(alpha, rho)
         tree = Tree.empty(params, seed=case)
         uni = rng.sample(range(1 << 32), n_max + n_max // 2)
         present = []
@@ -119,7 +119,7 @@ _FAULTS = [
 
 def check_fault_injection():
     """Each injected fault must give a violation that names the corrupted block."""
-    tree = Tree.empty(Params.explicit(3, 2), seed=90)
+    tree = Tree.empty(Params(3, 2), seed=90)
     for k in random.Random(90).sample(range(100_000), 120):
         insert(tree, k)
     base = tree.image()

@@ -4,23 +4,28 @@ The search for an update key walks down from the root and stops at the
 first block that either must take the key into its array (its priority
 falls below the block's maximum) or must change its fan-out.  Around that
 anchor only the separator intervals whose key content changes are laid
-out again; every other child subtree is re-linked untouched.  Rebuilt
-sections are assembled into auxiliary storage with range-limited scans
-of the old subtrees and promoted to the UR region in one atomic commit.
-Chains (fan-out one) are cut into priority waves by one emitter, `_waves`,
-whether a rebuilt section becomes a chain or an update re-waves an old one.
+out again; every other child subtree is re-linked untouched.  A rebuilt
+section's subtree is staged into auxiliary storage from one explicit stack
+of pending sections, root first, in pre-order.  Each section's keys come
+from `_section_keys`: range-limited scans of the old subtrees plus the
+keys pushed down into it, all under the same interval and priority-floor
+tests.  The staged blocks are promoted to the UR region in one atomic
+commit.  Chains (fan-out one) are cut into priority waves by one emitter,
+`_waves`, whether a rebuilt section becomes a chain or an update re-waves
+an old one.
 
 Ancestor blocks on the search path keep their layout but carry a child
-weight that changed by one; those are in-place field rewrites, applied
-bottom-up after all commits, and reported separately in the receipt.
+weight that changed by one; those are in-place field rewrites of the
+recorded child slot, applied bottom-up after all commits, and reported
+separately in the receipt.
 
 Insert and delete share one case decision per block on the search path
 (`_classify`).
 
 Main-memory discipline: scans keep an explicit stack of pending child
 labels and pin one block at a time, reading each block once; rebuilds run
-on an explicit stack of staged blocks, and a chain is built from one scan
-whose pool holds at most alpha + rho priorities.  So the number of
+on an explicit stack of pending sections, and a chain is built from one
+pass whose pool holds at most alpha + rho priorities.  So the number of
 simultaneously pinned blocks stays constant regardless of tree size.
 """
 
@@ -90,7 +95,7 @@ class _Ctx:
         self.freed: dict[int, int] = {}
         self.rewritten: set[int] = set()
         self.relabels: dict[int, int] = {}
-        self.path: list[tuple[int, int | None, int]] = []
+        self.path: list[tuple[int, int]] = []     # (label, child slot) passed
         self.cases: list[str] = []
         self._site_handles: list[AuxHandle] = []
         self._site_obsolete: dict[int, int] = {}
@@ -158,11 +163,27 @@ class _Ctx:
 # ---------------------------------------------------------------------------
 
 
-def _top_pass(ctx: _Ctx, sources, lo: int, hi: int, floor, exclude):
-    """alpha smallest-priority stored keys in (lo, hi) plus the total count.
+def _section_keys(ctx: _Ctx, sources, lo: int, hi: int, floor, include, exclude,
+                  on_key, on_block=None) -> None:
+    """Pass every key of the section (lo, hi) whose priority is above `floor` to on_key.
+
+    Stored keys come from one scan per source subtree, leaving out `exclude`;
+    the `include` keys (pushed down into the section, held by no old block)
+    follow under the same interval and floor tests.
+    """
+    prio = ctx.prio
+    for src in sources:
+        scan_keys(ctx.store, prio, src, lo, hi, on_key=on_key, on_block=on_block,
+                  pi_floor=floor, exclude=exclude)
+    for key in include:
+        if lo < key < hi and (floor is None or prio.priority(key) > floor):
+            on_key(key)
+
+
+def _top_pass(ctx: _Ctx, sources, lo: int, hi: int, floor, exclude, include=()):
+    """alpha smallest-priority keys of the section plus its total count.
 
     Scans each source subtree once and marks every visited block obsolete.
-    Keys with priority <= floor and excluded keys are skipped.
     """
     prio, k = ctx.prio, ctx.alpha
     cands: list[tuple] = []
@@ -178,10 +199,8 @@ def _top_pass(ctx: _Ctx, sources, lo: int, hi: int, floor, exclude):
             insort(cands, (p, key))
             cands.pop()
 
-    on_block = ctx.obsolete_recorder()
-    for src in sources:
-        scan_keys(ctx.store, prio, src, lo, hi, on_key=on_key,
-                  on_block=on_block, pi_floor=floor, exclude=exclude)
+    _section_keys(ctx, sources, lo, hi, floor, include, exclude, on_key,
+                  ctx.obsolete_recorder())
     return cands, total
 
 
@@ -197,12 +216,11 @@ def _count_pass(ctx: _Ctx, source: int, lo: int, hi: int, exclude=()) -> int:
 
 
 def _bin_pass(ctx: _Ctx, sources, lo: int, hi: int, bounds: list[int],
-              skip: set[int], floor=None, exclude=()):
-    """Counts and minimum-priority key per section between `bounds` keys.
+              skip: set[int], floor, include, exclude):
+    """Counts and minimum-priority key per bin of the section's keys.
 
     bounds: active separators (ascending); defines len(bounds)+1 bins over
-    (lo, hi).  Keys in `skip` (the new array) and `exclude` are ignored,
-    as are keys at or below the priority floor.
+    (lo, hi).  Keys in `skip` (the new array) are ignored.
     """
     prio = ctx.prio
     nbins = len(bounds) + 1
@@ -218,9 +236,7 @@ def _bin_pass(ctx: _Ctx, sources, lo: int, hi: int, bounds: list[int],
         if min_pi[i] is None or p < min_pi[i]:
             min_pi[i] = p
 
-    for src in sources:
-        scan_keys(ctx.store, prio, src, lo, hi, on_key=on_key,
-                  pi_floor=floor, exclude=exclude)
+    _section_keys(ctx, sources, lo, hi, floor, include, exclude, on_key)
     return counts, min_pi
 
 
@@ -229,56 +245,31 @@ def _bin_pass(ctx: _Ctx, sources, lo: int, hi: int, bounds: list[int],
 # ---------------------------------------------------------------------------
 
 
-class _BuildState:
-    __slots__ = ("sources", "include", "exclude", "floor", "specs")
-
-    def __init__(self, sources, include, exclude, floor, specs):
-        self.sources = sources
-        self.include = include
-        self.exclude = exclude
-        self.floor = floor      # priority of the block's own array maximum
-        self.specs = iter(specs)  # (slot, lo, hi, weight) pending child sections
-
-
 def _assemble(ctx: _Ctx, lo: int, hi: int, weight: int, sources, include, exclude,
               floor, parent: int | None, depth: int):
     """Build one block for a fresh section; returns (node, child section specs).
 
-    The stored keys of the section are exactly those in (lo, hi) whose
-    priority exceeds `floor` (keys at or below it sit in staged ancestor
-    arrays already).
+    The keys of the section are exactly those in (lo, hi) whose priority
+    exceeds `floor` (keys at or below it sit in staged ancestor arrays
+    already).  A child spec is (lo, hi, weight, label).
     """
     alpha = ctx.alpha
-    prio = ctx.prio
-    cands, total = _top_pass(ctx, sources, lo, hi, floor, exclude)
-    merged = sorted(cands + [(prio.priority(k), k) for k in include])
-    assert total + len(include) == weight, "section weight drifted"
-    arr_pi = merged[:alpha]
-    arr = sorted(k for _, k in arr_pi)
-    label = arr_pi[0][1]
+    cands, total = _top_pass(ctx, sources, lo, hi, floor, exclude, include)
+    assert total == weight, "section weight drifted"
+    arr = sorted(k for _, k in cands)
     d = fanout_bound(weight, ctx.params)
-    node = BlockNode(arr, [None] * (alpha + 1), parent, depth, d, label)
+    node = BlockNode(arr, [None] * (alpha + 1), parent, depth, d, cands[0][1])
     if weight <= len(arr):
         return node, []
-    seps = sorted(k for _, k in arr_pi[: d - 1])
-    arr_set = set(arr)
-    counts, min_pi = _bin_pass(ctx, sources, lo, hi, seps, arr_set,
-                               floor=floor, exclude=exclude)
-    for k in include:
-        if k in arr_set:
-            continue
-        p = prio.priority(k)
-        i = bisect_right(seps, k)
-        counts[i] += 1
-        if min_pi[i] is None or p < min_pi[i]:
-            min_pi[i] = p
+    seps = sorted(k for _, k in cands[: d - 1])
+    counts, min_pi = _bin_pass(ctx, sources, lo, hi, seps, set(arr), floor, include, exclude)
     bounds = [lo] + seps + [hi]
     specs = []
     for i, cnt in enumerate(counts):
         if cnt == 0:
             continue
         node.children[i] = ChildRef(min_pi[i][1], cnt)
-        specs.append((i, bounds[i], bounds[i + 1], cnt))
+        specs.append((bounds[i], bounds[i + 1], cnt, min_pi[i][1]))
     assert len(arr) + sum(counts) == weight
     return node, specs
 
@@ -322,20 +313,17 @@ def _build_chain(ctx: _Ctx, lo: int, hi: int, weight: int, sources, include, exc
                  floor, parent: int | None, depth: int) -> int:
     """Stage a chain of priority waves covering (lo, hi); returns the head label.
 
-    One recorded scan collects the section's keys above `floor`; with the
-    include keys they are sorted by priority and cut into waves.  The pass
-    holds at most alpha + rho priorities, since fanout_bound(w) <= 1 means
-    w <= alpha + rho.
+    One recorded pass collects the section's keys above `floor`; sorted by
+    priority they are cut into waves.  The pass holds at most alpha + rho
+    priorities, since fanout_bound(w) <= 1 means w <= alpha + rho.
     """
-    prio = ctx.prio
-    pool = [p for p in map(prio.priority, include) if floor is None or p > floor]
+    pool: list[tuple] = []
 
     def on_key(key: int) -> None:
-        pool.append(prio.priority(key))
+        pool.append(ctx.prio.priority(key))
 
-    for src in sources:
-        scan_keys(ctx.store, prio, src, lo, hi, on_key=on_key,
-                  on_block=ctx.obsolete_recorder(), pi_floor=floor, exclude=exclude)
+    _section_keys(ctx, sources, lo, hi, floor, include, exclude, on_key,
+                  ctx.obsolete_recorder())
     pool.sort()
     assert len(pool) == weight, "section weight drifted"
     return _waves(ctx, pool, None, parent, depth)
@@ -343,44 +331,37 @@ def _build_chain(ctx: _Ctx, lo: int, hi: int, weight: int, sources, include, exc
 
 def _build_fresh(ctx: _Ctx, lo: int, hi: int, weight: int, sources, include, exclude,
                  parent: int | None, depth: int) -> int | None:
-    """Stage a complete subtree for (lo, hi); stack-driven, returns root label."""
+    """Stage a complete subtree for (lo, hi); returns its root label.
+
+    One explicit stack of pending sections (lo, hi, weight, floor, parent,
+    depth, label), the root first.  Children are pushed in reverse slot
+    order, so sections are scanned and staged in pre-order.  Every section
+    draws its keys from the same sources, include and exclude keys.
+    """
     if weight == 0:
         for src in sources:
             ctx.collect_subtree(src)
         return None
-    alpha = ctx.alpha
-    prio = ctx.prio
-    if weight > alpha and fanout_bound(weight, ctx.params) <= 1:
-        return _build_chain(ctx, lo, hi, weight, sources, include, exclude,
-                            None, parent, depth)
-    root_node, specs = _assemble(ctx, lo, hi, weight, sources, include, exclude,
-                                 None, parent, depth)
-    ctx.stage(root_node)
-    root_floor = max(prio.priority(k) for k in root_node.keys)
-    stack = [(root_node, _BuildState(sources, include, exclude, root_floor, specs))]
+    alpha, params, prio = ctx.alpha, ctx.params, ctx.prio
+    root = None
+    stack = [(lo, hi, weight, None, parent, depth, None)]
     while stack:
-        cur, st = stack[-1]
-        spec = next(st.specs, None)
-        if spec is None:
-            stack.pop()
-            continue
-        slot, slo, shi, w = spec
-        inc_child = [k for k in st.include
-                     if slo < k < shi and prio.priority(k) > st.floor]
-        want = cur.children[slot].label
-        if w > alpha and fanout_bound(w, ctx.params) <= 1:
-            got = _build_chain(ctx, slo, shi, w, st.sources, inc_child, st.exclude,
-                               st.floor, cur.label, cur.depth + 1)
-            assert got == want, "chain head label drifted from the parent slot"
-            continue
-        child, child_specs = _assemble(ctx, slo, shi, w, st.sources, inc_child,
-                                       st.exclude, st.floor, cur.label, cur.depth + 1)
-        assert child.label == want, "child label drifted from the parent slot"
-        ctx.stage(child)
-        child_floor = max(prio.priority(k) for k in child.keys)
-        stack.append((child, _BuildState(st.sources, inc_child, st.exclude,
-                                         child_floor, child_specs)))
-    return root_node.label
+        lo, hi, w, floor, parent, depth, want = stack.pop()
+        if w > alpha and fanout_bound(w, params) <= 1:
+            got = _build_chain(ctx, lo, hi, w, sources, include, exclude,
+                               floor, parent, depth)
+        else:
+            node, specs = _assemble(ctx, lo, hi, w, sources, include, exclude,
+                                    floor, parent, depth)
+            ctx.stage(node)
+            got = node.label
+            node_floor = max(map(prio.priority, node.keys))
+            for slo, shi, sw, label in reversed(specs):
+                stack.append((slo, shi, sw, node_floor, got, depth + 1, label))
+        assert want in (None, got), "label drifted from the parent slot"
+        if root is None:
+            root = got
+    return root
 
 
 # ---------------------------------------------------------------------------
@@ -450,10 +431,10 @@ def _run_anchor(ctx: _Ctx, node: BlockNode, lo: int, hi: int, n_new: int,
                 key_below: int | None, op: str):
     """Rebuild around one anchor block.
 
-    Returns (child_ref, sec_lo, sec_hi) when the update continues deeper,
-    else None.  new_arr is the anchor's array after the update; adds are
-    keys pushed down into sections, removes keys leaving them; key_below
-    is the update key when it is not part of new_arr.
+    Returns (slot, child_ref, sec_lo, sec_hi) when the update continues
+    deeper, else None.  new_arr is the anchor's array after the update;
+    adds are keys pushed down into sections, removes keys leaving them;
+    key_below is the update key when it is not part of new_arr.
     """
     prio = ctx.prio
     alpha = ctx.alpha
@@ -467,11 +448,9 @@ def _run_anchor(ctx: _Ctx, node: BlockNode, lo: int, hi: int, n_new: int,
     sections = _diff_sections(ctx, node, lo, hi, new_arr, d_new, adds, removes)
     continue_into = None
     if key_below is not None:
-        bounds = _new_bounds(prio, new_arr, d_new, lo, hi)
-        j = bisect_right(bounds[1:-1], key_below)
-        sec = sections[j]
+        j, sec = next((j, s) for j, s in enumerate(sections) if s.lo < key_below < s.hi)
         if sec.reuse is not None:
-            continue_into = (sec.reuse, sec.lo, sec.hi)
+            continue_into = (j, sec.reuse, sec.lo, sec.hi)
         elif op == "insert":
             sec.include.append(key_below)
             sec.weight += 1
@@ -532,7 +511,7 @@ def _list_insert(ctx: _Ctx, head_label: int, key: int) -> None:
             pool = list(map(prio.priority, node.keys))
             if nxt is None or pi_x < max(pool):
                 break
-        ctx.path.append((cur, nxt.label, key))
+        ctx.path.append((cur, 0))
         cur = nxt.label
     pool.append(pi_x)
     _rewave(ctx, node, sorted(pool))
@@ -550,7 +529,7 @@ def _list_delete(ctx: _Ctx, head_label: int, key: int) -> None:
         nxt = node.children[0]
         if nxt is None:
             raise MissingKeyError(f"key {key} not present")
-        ctx.path.append((cur, nxt.label, key))
+        ctx.path.append((cur, 0))
         cur = nxt.label
     _rewave(ctx, node, sorted(prio.priority(k) for k in node.keys if k != key))
 
@@ -610,11 +589,11 @@ def _classify(tree: Tree, node: BlockNode, n_sub: int, key: int, pi_x, op: str):
 
 
 def _follow(node: BlockNode, prio, key: int, lo: int, hi: int):
-    """(child ref or None, sub_lo, sub_hi) of the section the key falls into."""
+    """(slot, child ref or None, sub_lo, sub_hi) of the section the key falls into."""
     seps = active_separators(node, prio)
     j = bisect_right(seps, key)
     bounds = [lo] + seps + [hi]
-    return node.children[j], bounds[j], bounds[j + 1]
+    return j, node.children[j], bounds[j], bounds[j + 1]
 
 
 def _stage_leaf(ctx: _Ctx, key: int, parent: int | None, depth: int) -> None:
@@ -625,32 +604,28 @@ def _stage_leaf(ctx: _Ctx, key: int, parent: int | None, depth: int) -> None:
     ctx.cases.append(CASE_LIST_NEW_BLOCK)
 
 
-def _apply_path_fixes(ctx: _Ctx, delta: int) -> None:
-    for parent_label, old_child, key in reversed(ctx.path):
-        node = ctx.store.peek(parent_label).copy()
-        if old_child is None:
-            seps = active_separators(node, ctx.prio)
-            slot = bisect_right(seps, key)
-            ref = node.children[slot]
-            assert ref is None
+def _apply_path_fixes(ctx: _Ctx, key: int, delta: int) -> None:
+    """Rewrite each passed block's child slot bottom-up: new weight, new label.
+
+    An empty slot is where the update staged the new leaf `key`.
+    """
+    for label, slot in reversed(ctx.path):
+        node = ctx.store.peek(label).copy()
+        ref = node.children[slot]
+        if ref is None:
             node.children[slot] = ChildRef(key, delta)
         else:
-            slot = next(
-                i for i, c in enumerate(node.children)
-                if c is not None and c.label == old_child
-            )
-            ref = node.children[slot]
-            new_label = ctx.relabels.get(old_child, old_child)
+            new_label = ctx.relabels.get(ref.label, ref.label)
             new_w = ref.weight + delta
             if new_w <= 0 or new_label is None:
                 node.children[slot] = None
             else:
                 node.children[slot] = ChildRef(new_label, new_w)
-        ctx.rewrite(parent_label, node)
+        ctx.rewrite(label, node)
 
 
 def _finish(ctx: _Ctx, op: str, key: int, before, delta: int) -> UpdateReceipt:
-    _apply_path_fixes(ctx, delta)
+    _apply_path_fixes(ctx, key, delta)
     tree = ctx.tree
     if tree.root is not None and tree.root in ctx.relabels:
         tree.root = ctx.relabels[tree.root]
@@ -677,14 +652,14 @@ def _update(tree: Tree, key: int, op: str) -> UpdateReceipt:
         tree.store.release(cur)
         step = _classify(tree, node, n_sub, key, pi_x, op)
         if step is None:
-            child, lo, hi = _follow(node, tree.prio, key, lo, hi)
+            slot, child, lo, hi = _follow(node, tree.prio, key, lo, hi)
             if child is None:
                 if op == "delete":
                     raise MissingKeyError(f"key {key} not present")
                 _stage_leaf(ctx, key, node.label, node.depth + 1)
-                ctx.path.append((node.label, None, key))
+                ctx.path.append((node.label, slot))
                 break
-            ctx.path.append((node.label, child.label, key))
+            ctx.path.append((node.label, slot))
             cur, n_sub = child.label, child.weight
             continue
         case, new_arr, adds, removes, key_below = step
@@ -699,8 +674,8 @@ def _update(tree: Tree, key: int, op: str) -> UpdateReceipt:
                            adds, removes, key_below, op)
         if cont is None:
             break
-        ref, lo, hi = cont
-        ctx.path.append((node.label, ref.label, key))
+        slot, ref, lo, hi = cont
+        ctx.path.append((node.label, slot))
         cur, n_sub = ref.label, ref.weight
     return _finish(ctx, op, key, before, delta)
 

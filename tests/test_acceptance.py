@@ -35,7 +35,7 @@ def test_criterion_1_unique_representation_exact():
     checked_ops = 0
     for case in range(cases):
         alpha, rho = grid[case % len(grid)]
-        params = Params.explicit(alpha, rho)
+        params = Params(alpha, rho)
         rng = random.Random(case * 77 + 1)
         n_target = rng.randrange(1, 65)
         tree = Tree.empty(params, seed=case)

@@ -169,7 +169,7 @@ def test_fresh_store_all_zero():
 
 
 def test_image_roundtrip_100_keys(tmp_path, rng):
-    params = Params.explicit(3, 2)
+    params = Params(3, 2)
     tree = Tree.empty(params, seed=17)
     for k in rng.sample(range(1 << 20), 100):
         insert(tree, k)
@@ -183,7 +183,7 @@ def test_image_roundtrip_100_keys(tmp_path, rng):
 def test_save_refuses_explicit_priorities(tmp_path):
     # the image stores a seed, not ranks: such a tree would reload with other priorities
     keys = [3, 9, 14, 20, 27, 31, 40]
-    tree = Tree(BlockStore(2), Params.explicit(2, 1), ExplicitPriority.from_order(keys[::-1]))
+    tree = Tree(BlockStore(2), Params(2, 1), ExplicitPriority.from_order(keys[::-1]))
     for k in keys:
         insert(tree, k)
     path = tmp_path / "t.rbst"
@@ -246,7 +246,7 @@ def test_image_dangling_child_names_label():
 ])
 def test_image_bad_record_field_names_field_and_label(field, offset, value):
     # at alpha 2 a record's key_count lies in 1..2 and its fanout_state in 1..3
-    tree = Tree.empty(Params.explicit(2, 1), seed=0)
+    tree = Tree.empty(Params(2, 1), seed=0)
     for k in range(10, 310, 10):
         insert(tree, k)
     raw = bytearray(tree.image())

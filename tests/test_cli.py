@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from rbst.cli import main
 
 
@@ -88,3 +90,19 @@ def test_bench_updates_receipts(tmp_path):
                  "--out", str(out), "--receipts-out", str(rec))
     assert rc == 0
     assert rec.read_text().startswith("m,m_prime,reads,writes,d_prime")
+
+
+@pytest.mark.parametrize("argv", [("insert",), ("insert", "1", "2"), ("delete",),
+                                  ("successor",), ("range", "5"), ("range", "1", "2", "3"),
+                                  ("init", "3"), ("check", "1")], ids="-".join)
+def test_demo_key_count_is_a_usage_error(tmp_path, capsys, argv):
+    img = tmp_path / "t.rbst"
+    assert run_cli("demo", "--image", str(img), "init") == 0
+    assert run_cli("demo", "--image", str(img), "insert", "7") == 0
+    before = img.read_bytes()
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run_cli("demo", "--image", str(img), *argv)
+    assert exc.value.code == 2
+    assert "usage" in capsys.readouterr().err.lower()
+    assert img.read_bytes() == before

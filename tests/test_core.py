@@ -17,7 +17,7 @@ import numpy as np
 
 
 def test_fanout_bound_formula():
-    p = Params.explicit(3, 4)
+    p = Params(3, 4)
     assert fanout_bound(3, p) == 1
     assert fanout_bound(8, p) == 2
     assert fanout_bound(100, p) == 4
@@ -36,25 +36,25 @@ def test_params_validation():
     with pytest.raises(ConfigError):
         Params.of(2, 0.0)
     with pytest.raises(ConfigError):
-        Params.explicit(0, 1)
+        Params(0, 1)
     # rho is a u32 image field: a larger one would crash image() with struct.error
     with pytest.raises(ConfigError):
-        Params.explicit(2, 1 << 32)
+        Params(2, 1 << 32)
     with pytest.raises(ConfigError):
         Params.of(65534, 0.001)
     with pytest.raises(ConfigError):
-        Params.explicit(2, -1)
+        Params(2, -1)
     with pytest.raises(ConfigError):
         Params.of(2, 0.5, c_rho=0)    # would silently disable buffering
-    assert Params.explicit(2, (1 << 32) - 1).rho == (1 << 32) - 1
-    assert Params.explicit(2, 0) == Params.unbuffered(2)
+    assert Params(2, (1 << 32) - 1).rho == (1 << 32) - 1
+    assert Params(2, 0) == Params.unbuffered(2)
     assert Params.of(2, 0.5).rho == 432
     assert Params.of(2, 0.5).beta == 3 * 432
     assert Params.unbuffered(2).beta == 0
     assert [f.name for f in dataclasses.fields(Params)] == ["alpha", "rho"]
 
 
-@pytest.mark.parametrize("params", [Params.of(2, 0.5), Params.explicit(3, 2),
+@pytest.mark.parametrize("params", [Params.of(2, 0.5), Params(3, 2),
                                     Params.unbuffered(4)], ids=["of", "explicit", "unbuffered"])
 def test_params_round_trip_through_image(params):
     tree = oracle_tree(range(1, 40), HashedPriority(6), params)
@@ -76,7 +76,7 @@ def test_successor_single_block():
 
 @pytest.mark.parametrize("alpha,rho", [(1, 0), (2, 1), (3, 2), (4, 0), (2, 50)])
 def test_successor_against_sorted_oracle(alpha, rho, rng):
-    params = Params.explicit(alpha, rho)
+    params = Params(alpha, rho)
     keys = sorted(rng.sample(range(10_000), 500))
     tree = oracle_tree(keys, HashedPriority(5), params)
     import bisect
@@ -97,7 +97,7 @@ def test_range_report_basics():
 
 def test_range_count_and_select_basics():
     keys = list(range(10, 200, 7))
-    tree = oracle_tree(keys, HashedPriority(3), Params.explicit(2, 2))
+    tree = oracle_tree(keys, HashedPriority(3), Params(2, 2))
     assert range_count(tree, min(keys), max(keys)) == len(keys)
     assert select_kth(tree, 1) == min(keys)
     assert select_kth(tree, len(keys)) == max(keys)
@@ -111,7 +111,7 @@ def test_range_count_and_select_basics():
                                             (2, 0, 4), (5, 3, 5)])
 def test_queries_against_sorted_oracle(alpha, rho, seed):
     rng = random.Random(seed)
-    params = Params.explicit(alpha, rho)
+    params = Params(alpha, rho)
     keys = sorted(rng.sample(range(100_000), 400))
     tree = oracle_tree(keys, HashedPriority(seed), params)
     import bisect
@@ -129,7 +129,7 @@ def test_queries_against_sorted_oracle(alpha, rho, seed):
 def test_query_purity_no_writes():
     rng = random.Random(9)
     tree = oracle_tree(rng.sample(range(10_000), 300), HashedPriority(1),
-                       Params.explicit(3, 2))
+                       Params(3, 2))
     before = tree.store.stats().writes
     successor(tree, 77)
     range_report(tree, 100, 5000)
@@ -143,7 +143,7 @@ def test_checker_accepts_fresh_builds(case):
     rng = random.Random(case)
     alpha = rng.choice([1, 2, 3, 4])
     rho = rng.choice([0, 1, 2, 4, 100])
-    params = Params.explicit(alpha, rho)
+    params = Params(alpha, rho)
     n = rng.randrange(0, 200)
     if case == 20:
         # alpha=1, eps=0.05 (rho=2160): one chain of 2,000 blocks, deeper
@@ -163,7 +163,7 @@ def test_checker_empty_tree_ok():
 def test_checker_names_corrupted_weight():
     rng = random.Random(3)
     tree = oracle_tree(rng.sample(range(10_000), 60), HashedPriority(3),
-                       Params.explicit(2, 1))
+                       Params(2, 1))
     label = next(l for l, b in tree.store.blocks.items()
                  if any(c is not None for c in b.children))
     node = tree.store.blocks[label]
@@ -177,7 +177,7 @@ def test_checker_names_corrupted_weight():
 def test_checker_rejects_wrong_depth_and_parent():
     rng = random.Random(4)
     tree = oracle_tree(rng.sample(range(10_000), 80), HashedPriority(2),
-                       Params.explicit(2, 2))
+                       Params(2, 2))
     child_label = next(l for l, b in tree.store.blocks.items() if b.parent is not None)
     tree.store.blocks[child_label].depth += 1
     assert not check_invariants(tree).ok
@@ -221,7 +221,7 @@ def _preorder(store, prio, label, lo, hi, out):
 @pytest.mark.parametrize("case", range(24))
 def test_scan_reads_each_block_once_in_preorder(case):
     rng = random.Random(case + 300)
-    params = Params.explicit(case % 4 + 1, rng.choice([0, 1, 2, 4, 30]))
+    params = Params(case % 4 + 1, rng.choice([0, 1, 2, 4, 30]))
     keys = rng.sample(range(1 << 20), rng.randrange(1, 300))
     tree = oracle_tree(keys, HashedPriority(case), params)
     store = tree.store

@@ -16,7 +16,7 @@ def test_fast_build_matches_oracle(case):
     rng = np.random.default_rng(case)
     alpha = [1, 2, 3, 5][case % 4]
     rho = [0, 1, 3, 40][case // 4]
-    params = Params.explicit(alpha, rho)
+    params = Params(alpha, rho)
     n = int(rng.integers(0, 400))
     keys = sample_keys(rng, n)
     prio = HashedPriority(case)

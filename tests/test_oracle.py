@@ -45,7 +45,7 @@ def test_expected_size_single_block():
 
 def test_expected_size_n7_alpha3_rho1_frozen():
     # full enumeration over 7! permutations; values frozen from the run
-    s, f, e = exact_expected_size(7, Params.explicit(3, 1))
+    s, f, e = exact_expected_size(7, Params(3, 1))
     assert s == Fraction(17, 5)
     assert e == Fraction(68, 35)
     eps_implied = 108 * 3 / 1
@@ -96,13 +96,13 @@ def test_census_chain_configurations():
     # with fan-out one the layout is a chain whose only possible non-full
     # block is the tail, so E equals the tail statistic exactly
     for n, alpha, rho in [(5, 3, 4), (6, 2, 5), (7, 3, 6), (4, 4, 9)]:
-        e = buffer_nonfull_census(n, Params.explicit(alpha, rho))
+        e = buffer_nonfull_census(n, Params(alpha, rho))
         assert e == (1 if n % alpha else 0)
         assert e <= 1
 
 
 def test_census_exact_n8_frozen():
-    e = buffer_nonfull_census(8, Params.explicit(3, 2))
+    e = buffer_nonfull_census(8, Params(3, 2))
     assert e == Fraction(12, 7)
     assert e <= 27 * 3
 
@@ -169,7 +169,7 @@ def test_treap_deeper_than_recursion_limit():
 
 def test_oracle_image_header_carries_params():
     from rbst.store import parse_image
-    params = Params.explicit(3, 2)
+    params = Params(3, 2)
     img = oracle_build([5, 6, 7], HashedPriority(9), params)
     _, header = parse_image(img)
     assert header.alpha == 3 and header.rho == 2 and header.seed == 9 and header.n == 3

@@ -9,7 +9,7 @@ key_sets = st.sets(st.integers(min_value=0, max_value=(1 << 64) - 1),
                    min_size=0, max_size=40)
 param_grid = st.sampled_from(
     [Params.unbuffered(a) for a in (1, 2, 3)]
-    + [Params.explicit(a, r) for a in (1, 2, 3) for r in (1, 3)]
+    + [Params(a, r) for a in (1, 2, 3) for r in (1, 3)]
 )
 
 

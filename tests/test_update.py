@@ -26,9 +26,9 @@ CHAIN = [(a, where) for a in (1, 2, 3) for where in (0.0, 0.5, 1.0)]
 def _case_params(case: int, n_grid: int):
     """(params, wave position or None): GRID for the first n_grid cases, then CHAIN."""
     if case < n_grid:
-        return Params.explicit(*GRID[case % len(GRID)]), None
+        return Params(*GRID[case % len(GRID)]), None
     alpha, where = CHAIN[case - n_grid]
-    return Params.explicit(alpha, 64), where
+    return Params(alpha, 64), where
 
 
 def _fresh_key_at(tree, keys, rng, where: float) -> int:
@@ -64,7 +64,7 @@ def test_duplicate_insert_rejected_unchanged():
 
 
 def test_delete_missing_rejected_unchanged():
-    tree = build_by_inserts([5, 6, 7], Params.explicit(2, 1), seed=2)
+    tree = build_by_inserts([5, 6, 7], Params(2, 1), seed=2)
     img = tree.image()
     with pytest.raises(MissingKeyError):
         delete(tree, 99)
@@ -81,7 +81,7 @@ def test_delete_only_key():
 def test_insert_then_delete_restores_image():
     rng = random.Random(7)
     for alpha, rho in GRID:
-        params = Params.explicit(alpha, rho)
+        params = Params(alpha, rho)
         keys = rng.sample(range(1 << 24), 30)
         tree = build_by_inserts(keys, params, seed=4)
         img = tree.image()
@@ -148,7 +148,7 @@ def test_plan_bounds_by_case(rng, monkeypatch):
     # block touches at most three; buffering in-array anchors can reach four
     anchors = _watch_anchors(monkeypatch)
     for alpha, rho in [(2, 1), (3, 2), (4, 4), (3, 0), (1, 2)]:
-        params = Params.explicit(alpha, rho)
+        params = Params(alpha, rho)
         tree = Tree.empty(params, seed=alpha)
         present, uni = [], rng.sample(range(1 << 28), 300)
         for _ in range(500):
@@ -177,10 +177,12 @@ def test_plan_bounds_by_case(rng, monkeypatch):
 @pytest.mark.parametrize("case", range(40))
 def test_top_against_flat_scan(case):
     # a rebuild's top pass: the alpha smallest-priority keys of a range,
-    # leaving out excluded keys and those at or below a priority floor
+    # leaving out excluded keys and those at or below a priority floor; keys
+    # pushed down into the section (include, held by no block) pass the same
+    # tests as stored keys
     rng = random.Random(case + 100)
     alpha, rho = GRID[case % len(GRID)]
-    params = Params.explicit(alpha, rho)
+    params = Params(alpha, rho)
     n = rng.randrange(1, 64)
     keys = rng.sample(range(1000), n)
     prio = HashedPriority(case)
@@ -189,8 +191,11 @@ def test_top_against_flat_scan(case):
     hi = lo + rng.randrange(0, 1000 - max(lo, 0))
     floor = prio.priority(rng.choice(keys)) if case % 2 else None
     exclude = rng.sample(keys, n // 4)
-    cands, total = upd._top_pass(upd._Ctx(tree), [tree.root], lo, hi, floor, exclude)
-    want = sorted((prio.priority(k), k) for k in keys if lo < k < hi and k not in exclude)
+    include = rng.sample(sorted(set(range(1000)) - set(keys)), rng.randrange(12))
+    cands, total = upd._top_pass(upd._Ctx(tree), [tree.root], lo, hi, floor, exclude,
+                                 include)
+    want = sorted((prio.priority(k), k) for k in keys + include
+                  if lo < k < hi and k not in exclude)
     want = [c for c in want if floor is None or c[0] > floor]
     assert cands == want[:alpha] and total == len(want)
 
@@ -252,7 +257,7 @@ def test_receipt_accounts_for_image_diff(case):
 def test_list_insert_at_every_wave_boundary(alpha):
     # a 40-key tree at rho=64 is one chain; a fresh key at each priority rank
     # 0..40 lands once in every wave and once on every wave boundary
-    params = Params.explicit(alpha, 64)
+    params = Params(alpha, 64)
     rng = random.Random(alpha + 700)
     keys = rng.sample(range(1 << 22), 40)
     tree = build_by_inserts(keys, params, seed=alpha)
@@ -289,7 +294,7 @@ class _CountingPriority(HashedPriority):
 def test_list_insert_classified_without_hashing(alpha):
     # a fan-out-1 chain head that stays fan-out 1 is a list-insert whatever
     # the key's priority, so the classifier needs no hash of its keys
-    params = Params.explicit(alpha, 64)
+    params = Params(alpha, 64)
     keys = random.Random(alpha).sample(range(1 << 22), 30)
     prio = _CountingPriority(alpha)
     tree = oracle_tree(keys, prio, params)
@@ -311,7 +316,7 @@ def test_chain_rebuild_reads_linear(rho):
     rng = random.Random(rho)
     keys = rng.sample(range(1 << 22), alpha + rho + 2)
     x = keys.pop()
-    params = Params.explicit(alpha, rho)
+    params = Params(alpha, rho)
     prio = ExplicitPriority.from_order([x] + keys)
     tree = oracle_tree(keys, prio, params)
     assert tree.store.peek(tree.root).fanout == 2
@@ -326,7 +331,7 @@ def test_locality_untouched_blocks_identical(case):
     # blocks outside the rebuilt regions and the root path must not change
     rng = random.Random(case + 900)
     alpha, rho = GRID[case % len(GRID)]
-    params = Params.explicit(alpha, rho)
+    params = Params(alpha, rho)
     keys = rng.sample(range(1 << 22), 60)
     tree = build_by_inserts(keys, params, seed=case)
     before = tree.image()
@@ -340,7 +345,7 @@ def test_locality_untouched_blocks_identical(case):
 
 
 def test_pinned_blocks_constant_during_updates(rng):
-    params = Params.explicit(3, 2)
+    params = Params(3, 2)
     tree = Tree.empty(params, seed=8)
     peaks = set()
     present = []
@@ -362,7 +367,7 @@ def test_pinned_blocks_constant_during_updates(rng):
 @pytest.mark.parametrize("alpha,rho", GRID)
 def test_observation_audit_constants(alpha, rho):
     rng = random.Random(alpha * 100 + rho)
-    params = Params.explicit(alpha, rho)
+    params = Params(alpha, rho)
     tree = Tree.empty(params, seed=9)
     present, uni = [], rng.sample(range(1 << 26), 120)
     for _ in range(200):
@@ -381,7 +386,7 @@ def test_observation_audit_constants(alpha, rho):
 def test_case_frequency_cross_check(rng):
     # every update leaves the image of a fresh build, and the workload
     # exercises list, in-array and fan-out cases
-    params = Params.explicit(2, 2)
+    params = Params(2, 2)
     tree = Tree.empty(params, seed=10)
     present = []
     cases = set()
@@ -401,7 +406,7 @@ def test_case_frequency_cross_check(rng):
     assert any(c.startswith("fanout") for c in cases)
     # key 0 is a legal key and block label: small trees that hold it
     for trial in range(60):
-        params = Params.explicit(rng.choice((1, 2, 3)), rng.choice((1, 2)))
+        params = Params(rng.choice((1, 2, 3)), rng.choice((1, 2)))
         keys = [0] + rng.sample(range(1, 200), rng.randrange(4, 40))
         rng.shuffle(keys)
         tree = Tree.empty(params, seed=trial)
@@ -420,7 +425,7 @@ def test_explicit_mode_order_invariance(alpha, rho):
     # explicit rank assignments: the image depends only on the rank order,
     # never on the insertion call order
     import itertools
-    params = Params.explicit(alpha, rho)
+    params = Params(alpha, rho)
     keys = [11, 22, 33, 44, 55]
     for rank_perm in itertools.permutations(range(1, 6)):
         prio = ExplicitPriority(dict(zip(keys, rank_perm)))
@@ -454,7 +459,7 @@ def test_insert_delete_mirror_diff(case):
 
 
 def test_checker_after_every_update(rng):
-    params = Params.explicit(2, 1)
+    params = Params(2, 1)
     tree = Tree.empty(params, seed=11)
     present = []
     for _ in range(160):
