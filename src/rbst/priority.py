@@ -99,7 +99,9 @@ class ExplicitPriority:
         return cls({k: i + 1 for i, k in enumerate(keys_in_priority_order)})
 
     def priority(self, key: int) -> Priority:
+        if key not in self._ranks:
+            raise InvalidPermutationError(f"key {key} has no rank in the assignment")
         return (self._ranks[key], key)
 
     def ranks(self, keys: np.ndarray) -> np.ndarray:
-        return np.array([self._ranks[int(k)] for k in keys], dtype=np.uint64)
+        return np.array([self.priority(int(k))[0] for k in keys], dtype=np.uint64)

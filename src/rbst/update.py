@@ -24,15 +24,17 @@ Insert and delete share one case decision per block on the search path
 
 Main-memory discipline: scans keep an explicit stack of pending child
 labels and pin one block at a time, reading each block once; rebuilds run
-on an explicit stack of pending sections, and a chain is built from one
-pass whose pool holds at most alpha + rho priorities.  So the number of
-simultaneously pinned blocks stays constant regardless of tree size.
+on an explicit stack of pending sections.  A chain build or re-wave reads
+each old wave once and ranks the keys it holds, at most alpha + rho + 1,
+in one call.  So the number of pinned blocks stays constant in tree size.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right, insort
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .blocks import BlockNode, ChildRef
 from .core import (
@@ -42,6 +44,8 @@ from .errors import ConfigError, DuplicateKeyError, MissingKeyError
 from .store import AuxHandle
 
 MASK64 = (1 << 64) - 1
+# fewer keys rank faster by hashing each in Python than by one numpy call
+_NUMPY_FROM = 32   # the two paths cross at 24-32 keys on a 2-vCPU x86 host
 
 CASE_LIST_NEW_BLOCK = "list-new-block"
 CASE_LIST_INSERT = "list-insert"
@@ -274,59 +278,55 @@ def _assemble(ctx: _Ctx, lo: int, hi: int, weight: int, sources, include, exclud
     return node, specs
 
 
-def _waves(ctx: _Ctx, pool: list[tuple], below: ChildRef | None,
-           parent: int | None, depth: int) -> int | None:
-    """Stage `pool` and the old chain at `below` as linked waves; returns the head.
+def _by_priority(prio, keys) -> list[int]:
+    """`keys` in ascending priority, ranked in one numpy call from `_NUMPY_FROM` keys on."""
+    if len(keys) < _NUMPY_FROM:
+        return sorted(keys, key=prio.priority)
+    arr = np.array(keys, dtype=np.uint64)
+    return arr[np.lexsort((arr, prio.ranks(arr)))].tolist()
 
-    `pool` holds ascending (rank, key) priorities that all rank below the
-    chain at `below` (None for no chain).  The chain's blocks are read one
-    at a time, marked obsolete and appended to the pool; the alpha smallest
-    keys leave as the next wave whenever the pool holds more than alpha
-    keys or the chain is used up.
+
+def _waves(ctx: _Ctx, keys: list[int], below: ChildRef | None,
+           parent: int | None, depth: int) -> int | None:
+    """Stage `keys` and the old chain at `below` as linked waves; returns the head.
+
+    `keys` ascend in priority and rank below the chain at `below` (None for
+    none), whose blocks are read once each, released at once and marked
+    obsolete.  Their keys, at most alpha + rho + 1 with `keys`, are ranked in
+    one call; each alpha-slice is a wave linked to the next slice's head.
     """
-    store, prio, alpha = ctx.store, ctx.prio, ctx.alpha
-    head = pool[0][1] if pool else (below.label if below else None)
-    i = 0
-    while i < len(pool) or below is not None:
-        if len(pool) - i <= alpha and below is not None:
-            nxt = store.read(below.label)
-            store.release(below.label)
-            ctx.mark_obsolete(below.label, nxt.depth)
-            del pool[:i]  # emitted waves: a re-wave pools at most 2 * alpha keys
-            i = 0
-            pool += sorted(map(prio.priority, nxt.keys))
-            below = nxt.children[0]
-            continue
-        wave = pool[i:i + alpha]
-        i += alpha
-        node = BlockNode(sorted(k for _, k in wave), [None] * (alpha + 1),
-                         parent, depth, 1, wave[0][1])
-        if i < len(pool):
-            node.children[0] = ChildRef(pool[i][1],
-                                        len(pool) - i + (below.weight if below else 0))
+    store, alpha = ctx.store, ctx.alpha
+    tail: list[int] = []
+    while below is not None:
+        nxt = store.read(below.label)
+        store.release(below.label)
+        ctx.mark_obsolete(below.label, nxt.depth)
+        tail += nxt.keys
+        below = nxt.children[0]
+    keys = keys + _by_priority(ctx.prio, tail)
+    for i in range(0, len(keys), alpha):
+        node = BlockNode(sorted(keys[i:i + alpha]), [None] * (alpha + 1),
+                         parent, depth, 1, keys[i])
+        if i + alpha < len(keys):
+            node.children[0] = ChildRef(keys[i + alpha], len(keys) - i - alpha)
         ctx.stage(node)
         parent, depth = node.label, depth + 1
-    return head
+    return keys[0] if keys else None
 
 
 def _build_chain(ctx: _Ctx, lo: int, hi: int, weight: int, sources, include, exclude,
                  floor, parent: int | None, depth: int) -> int:
     """Stage a chain of priority waves covering (lo, hi); returns the head label.
 
-    One recorded pass collects the section's keys above `floor`; sorted by
-    priority they are cut into waves.  The pass holds at most alpha + rho
-    priorities, since fanout_bound(w) <= 1 means w <= alpha + rho.
+    One recorded pass collects the section's keys above `floor`; ranked in
+    one call they are cut into waves.  The pass holds at most alpha + rho
+    keys, since fanout_bound(w) <= 1 means w <= alpha + rho.
     """
-    pool: list[tuple] = []
-
-    def on_key(key: int) -> None:
-        pool.append(ctx.prio.priority(key))
-
-    _section_keys(ctx, sources, lo, hi, floor, include, exclude, on_key,
+    pool: list[int] = []
+    _section_keys(ctx, sources, lo, hi, floor, include, exclude, pool.append,
                   ctx.obsolete_recorder())
-    pool.sort()
     assert len(pool) == weight, "section weight drifted"
-    return _waves(ctx, pool, None, parent, depth)
+    return _waves(ctx, _by_priority(ctx.prio, pool), None, parent, depth)
 
 
 def _build_fresh(ctx: _Ctx, lo: int, hi: int, weight: int, sources, include, exclude,
@@ -487,10 +487,10 @@ def _run_anchor(ctx: _Ctx, node: BlockNode, lo: int, hi: int, n_new: int,
 # ---------------------------------------------------------------------------
 
 
-def _rewave(ctx: _Ctx, node: BlockNode, pool: list[tuple]) -> None:
-    """Rewrite the chain from `node` down with `pool`'s keys in place of its array."""
+def _rewave(ctx: _Ctx, node: BlockNode, keys: list[int]) -> None:
+    """Rewrite the chain from `node` down with `keys` (by priority) in place of its array."""
     ctx.mark_obsolete(node.label, node.depth)
-    ctx.relabels[node.label] = _waves(ctx, pool, node.children[0], node.parent, node.depth)
+    ctx.relabels[node.label] = _waves(ctx, keys, node.children[0], node.parent, node.depth)
     ctx.commit_site()
 
 
@@ -501,8 +501,7 @@ def _list_insert(ctx: _Ctx, head_label: int, key: int) -> None:
     smallest-priority key) ranks below the key is passed on that one hash.
     """
     store, prio = ctx.store, ctx.prio
-    pi_x = prio.priority(key)
-    cur = head_label
+    pi_x, cur = prio.priority(key), head_label
     while True:
         node = store.read(cur)
         store.release(cur)
@@ -513,8 +512,7 @@ def _list_insert(ctx: _Ctx, head_label: int, key: int) -> None:
                 break
         ctx.path.append((cur, 0))
         cur = nxt.label
-    pool.append(pi_x)
-    _rewave(ctx, node, sorted(pool))
+    _rewave(ctx, node, [k for _, k in sorted(pool + [pi_x])])
 
 
 def _list_delete(ctx: _Ctx, head_label: int, key: int) -> None:
@@ -531,7 +529,7 @@ def _list_delete(ctx: _Ctx, head_label: int, key: int) -> None:
             raise MissingKeyError(f"key {key} not present")
         ctx.path.append((cur, 0))
         cur = nxt.label
-    _rewave(ctx, node, sorted(prio.priority(k) for k in node.keys if k != key))
+    _rewave(ctx, node, _by_priority(prio, [k for k in node.keys if k != key]))
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,14 @@ def test_explicit_rejects_non_bijection():
         ExplicitPriority({10: 1, 20: 3})
 
 
+def test_explicit_refuses_unranked_key():
+    prio = ExplicitPriority({10: 1, 20: 2})
+    with pytest.raises(InvalidPermutationError, match="key 30 "):
+        prio.priority(30)
+    with pytest.raises(InvalidPermutationError, match="key 30 "):
+        prio.ranks(np.array([10, 30], dtype=np.uint64))
+
+
 def test_vectorized_matches_scalar():
     keys = np.array([0, 1, 12345, (1 << 63) + 17, (1 << 64) - 1], dtype=np.uint64)
     for seed in (0, 9, 1 << 40):

@@ -6,9 +6,9 @@ import pytest
 import rbst.update as upd
 from rbst import BlockStore, Params, Tree, check_invariants, delete, fanout_bound, insert
 from rbst.core import active_separators
-from rbst.errors import DuplicateKeyError, MissingKeyError
+from rbst.errors import DuplicateKeyError, InvalidPermutationError, MissingKeyError, RbstError
 from rbst.oracle import oracle_build, oracle_tree
-from rbst.priority import ExplicitPriority, HashedPriority
+from rbst.priority import MASK64, ExplicitPriority, HashedPriority
 from rbst.store import parse_image
 from rbst.update import (
     CASE_FANOUT_DECREASE, CASE_FANOUT_INCREASE, CASE_IN_ARRAY_ACTIVE, CASE_IN_ARRAY_DELETE,
@@ -61,6 +61,16 @@ def test_duplicate_insert_rejected_unchanged():
     with pytest.raises(DuplicateKeyError):
         insert(tree, 6)
     assert tree.image() == img
+
+
+def test_insert_of_unranked_key_rejected_unchanged():
+    keys = list(range(1, 11))
+    tree = oracle_tree(keys, ExplicitPriority.from_order(keys[::-1]), Params(2, 4))
+    img = tree.image()
+    with pytest.raises(InvalidPermutationError, match="key 99 ") as err:
+        insert(tree, 99)
+    assert isinstance(err.value, RbstError)
+    assert tree.image() == img and tree.n == 10
 
 
 def test_delete_missing_rejected_unchanged():
@@ -280,6 +290,24 @@ def test_list_insert_at_every_wave_boundary(alpha):
         # waves hold alpha keys each; the chain is rewritten from the wave the
         # key joins, which is the later of the two waves at a boundary
         assert r.freed == chain - min(rank // alpha, chain - 1)
+
+
+@pytest.mark.parametrize("prio", [HashedPriority(s) for s in (0, 7, 101, MASK64)] + ["explicit"],
+                         ids=lambda p: f"seed{p.seed}" if p != "explicit" else p)
+@pytest.mark.parametrize("n", [0, 1, upd._NUMPY_FROM - 1, upd._NUMPY_FROM, 3500])
+def test_by_priority_matches_per_key_sort(prio, n):
+    # both paths of the helper, with the u64 end keys 0 and 2**64 - 1 in play
+    rng = random.Random(n)
+    inner: set[int] = set()
+    while len(inner) < n - 2:
+        inner.add(rng.randrange(1, MASK64))
+    keys = [MASK64, 0][:n] + sorted(inner)
+    rng.shuffle(keys)
+    if prio == "explicit":
+        prio = ExplicitPriority.from_order(rng.sample(keys, n))
+    got = upd._by_priority(prio, keys)
+    assert got == sorted(keys, key=prio.priority)
+    assert all(type(k) is int for k in got)
 
 
 class _CountingPriority(HashedPriority):
