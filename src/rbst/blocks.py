@@ -19,6 +19,7 @@ the block's array) is the map key, not part of the record.
 from __future__ import annotations
 
 import struct
+from operator import lt
 
 from .errors import FormatError, InvalidBlockError
 
@@ -68,14 +69,17 @@ class BlockNode:
             return f"block {self.label}: {len(self.children)} child slots, want {alpha + 1}"
         if len(self.keys) > alpha:
             return f"block {self.label}: {len(self.keys)} keys exceed capacity {alpha}"
-        if not self.keys:
+        keys = self.keys
+        if not keys:
             return f"block {self.label}: empty key array"
-        for k in self.keys:
-            if not 0 <= k <= MASK64:
-                return f"block {self.label}: key {k} outside u64 range"
-        for a, b in zip(self.keys, self.keys[1:]):
-            if a >= b:
-                return f"block {self.label}: keys not strictly ascending at {a},{b}"
+        # a clean array passes one C-level scan; the loops only name a fault
+        if not (0 <= keys[0] and keys[-1] <= MASK64 and all(map(lt, keys, keys[1:]))):
+            for k in keys:
+                if not 0 <= k <= MASK64:
+                    return f"block {self.label}: key {k} outside u64 range"
+            for a, b in zip(keys, keys[1:]):
+                if a >= b:
+                    return f"block {self.label}: keys not strictly ascending at {a},{b}"
         if not 1 <= self.fanout <= alpha + 1:
             return f"block {self.label}: fanout_state {self.fanout} outside 1..{alpha + 1}"
         return None

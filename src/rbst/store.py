@@ -93,7 +93,10 @@ class BlockStore:
         return node
 
     def peek(self, ref) -> BlockNode:
-        """Uncounted access for diagnostics and verification only."""
+        """Uncounted access for the invariant checker, the oracle and tests only.
+
+        No update calls it: every block an update touches goes through read.
+        """
         return self._lookup(ref)
 
     def release(self, ref) -> None:

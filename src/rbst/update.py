@@ -20,7 +20,12 @@ recorded child slot, applied bottom-up after all commits, and reported
 separately in the receipt.
 
 Insert and delete share one case decision per block on the search path
-(`_classify`).
+(`_classify`), and the descent settles membership before any commit: a
+duplicate is refused at the path block or wave holding it, a missing key
+where the descent or the list pass runs out.  Only the first fan-out
+anchor, which commits and then descends, is preceded by one `successor`
+search.  Every block an update touches is a counted read, including the
+re-read before an in-place rewrite.
 
 Main-memory discipline: scans keep an explicit stack of pending child
 labels and pin one block at a time, reading each block once; rebuilds run
@@ -77,7 +82,7 @@ class UpdateReceipt:
     staged: int         # freshly written blocks
     freed: int          # blocks removed
     rewritten: int      # in-place field rewrites (ancestor weights, parent fixes)
-    reads: int
+    reads: int          # every block read, rewrite re-reads and membership pre-check included
     writes: int
     d_prime: int        # height of the rebuilt region, in levels
     cases: list[str]
@@ -103,6 +108,12 @@ class _Ctx:
         self.cases: list[str] = []
         self._site_handles: list[AuxHandle] = []
         self._site_obsolete: dict[int, int] = {}
+
+    def read(self, label: int) -> BlockNode:
+        """One counted read, released at once: no update holds a pin across calls."""
+        node = self.store.read(label)
+        self.store.release(label)
+        return node
 
     # -- staging ------------------------------------------------------
 
@@ -295,11 +306,10 @@ def _waves(ctx: _Ctx, keys: list[int], below: ChildRef | None,
     obsolete.  Their keys, at most alpha + rho + 1 with `keys`, are ranked in
     one call; each alpha-slice is a wave linked to the next slice's head.
     """
-    store, alpha = ctx.store, ctx.alpha
+    alpha = ctx.alpha
     tail: list[int] = []
     while below is not None:
-        nxt = store.read(below.label)
-        store.release(below.label)
+        nxt = ctx.read(below.label)
         ctx.mark_obsolete(below.label, nxt.depth)
         tail += nxt.keys
         below = nxt.children[0]
@@ -476,7 +486,7 @@ def _run_anchor(ctx: _Ctx, node: BlockNode, lo: int, hi: int, n_new: int,
         for j, sec in enumerate(sections):
             if sec.reuse is None:
                 continue
-            child = ctx.store.peek(sec.reuse.label).copy()
+            child = ctx.read(sec.reuse.label).copy()
             child.parent = label_new
             ctx.rewrite(sec.reuse.label, child)
     return continue_into
@@ -494,42 +504,37 @@ def _rewave(ctx: _Ctx, node: BlockNode, keys: list[int]) -> None:
     ctx.commit_site()
 
 
-def _list_insert(ctx: _Ctx, head_label: int, key: int) -> None:
-    """Find the first wave whose maximum priority is above the key's; re-wave from it.
+def _list_insert(ctx: _Ctx, node: BlockNode, key: int) -> None:
+    """From the head `node`, re-wave from the first wave whose maximum priority tops the key's.
 
     Waves ascend in priority, so a wave whose successor's label (its
     smallest-priority key) ranks below the key is passed on that one hash.
+    A present key sits in a wave this pass reads, so each is checked.
     """
-    store, prio = ctx.store, ctx.prio
-    pi_x, cur = prio.priority(key), head_label
+    prio = ctx.prio
+    pi_x = prio.priority(key)
     while True:
-        node = store.read(cur)
-        store.release(cur)
         nxt = node.children[0]
         if nxt is None or pi_x < prio.priority(nxt.label):
             pool = list(map(prio.priority, node.keys))
             if nxt is None or pi_x < max(pool):
                 break
-        ctx.path.append((cur, 0))
-        cur = nxt.label
+        ctx.path.append((node.label, 0))
+        node = ctx.read(nxt.label)
+        if key in node.keys:
+            raise DuplicateKeyError(f"key {key} already present")
     _rewave(ctx, node, [k for _, k in sorted(pool + [pi_x])])
 
 
-def _list_delete(ctx: _Ctx, head_label: int, key: int) -> None:
-    """Find the wave that holds the key; re-wave from it without the key."""
-    store, prio = ctx.store, ctx.prio
-    cur = head_label
-    while True:
-        node = store.read(cur)
-        store.release(cur)
-        if key in node.keys:
-            break
+def _list_delete(ctx: _Ctx, node: BlockNode, key: int) -> None:
+    """From the head `node`, find the wave that holds the key; re-wave from it without the key."""
+    while key not in node.keys:
         nxt = node.children[0]
         if nxt is None:
             raise MissingKeyError(f"key {key} not present")
-        ctx.path.append((cur, 0))
-        cur = nxt.label
-    _rewave(ctx, node, _by_priority(prio, [k for k in node.keys if k != key]))
+        ctx.path.append((node.label, 0))
+        node = ctx.read(nxt.label)
+    _rewave(ctx, node, _by_priority(ctx.prio, [k for k in node.keys if k != key]))
 
 
 # ---------------------------------------------------------------------------
@@ -538,10 +543,19 @@ def _list_delete(ctx: _Ctx, head_label: int, key: int) -> None:
 
 
 def _check_update(tree: Tree, key: int, op: str) -> None:
-    """Refuse a key outside u64, an insert of a present key or a delete of a missing one."""
+    """Refuse a key outside u64 or a delete from an empty tree; reads no block.
+
+    Every other refusal is settled by the descent (`_update`).
+    """
     if not 0 <= key <= MASK64:
         raise ConfigError(f"key {key} outside the u64 universe")
-    present = tree.root is not None and successor(tree, key) == key
+    if op == "delete" and tree.root is None:
+        raise MissingKeyError(f"key {key} not present")
+
+
+def _check_membership(tree: Tree, key: int, op: str) -> None:
+    """Refuse a present insert key or a missing delete key with one counted search."""
+    present = successor(tree, key) == key
     if op == "insert" and present:
         raise DuplicateKeyError(f"key {key} already present")
     if op == "delete" and not present:
@@ -603,12 +617,12 @@ def _stage_leaf(ctx: _Ctx, key: int, parent: int | None, depth: int) -> None:
 
 
 def _apply_path_fixes(ctx: _Ctx, key: int, delta: int) -> None:
-    """Rewrite each passed block's child slot bottom-up: new weight, new label.
+    """Re-read and rewrite each passed block's child slot bottom-up: new weight, new label.
 
     An empty slot is where the update staged the new leaf `key`.
     """
     for label, slot in reversed(ctx.path):
-        node = ctx.store.peek(label).copy()
+        node = ctx.read(label).copy()
         ref = node.children[slot]
         if ref is None:
             node.children[slot] = ChildRef(key, delta)
@@ -646,8 +660,9 @@ def _update(tree: Tree, key: int, op: str) -> UpdateReceipt:
     pi_x = tree.prio.priority(key) if op == "insert" else None
     cur, n_sub, lo, hi = tree.root, tree.n, NEG_INF, POS_INF
     while True:
-        node = tree.store.read(cur)
-        tree.store.release(cur)
+        node = ctx.read(cur)
+        if op == "insert" and key in node.keys:
+            raise DuplicateKeyError(f"key {key} already present")
         step = _classify(tree, node, n_sub, key, pi_x, op)
         if step is None:
             slot, child, lo, hi = _follow(node, tree.prio, key, lo, hi)
@@ -663,11 +678,15 @@ def _update(tree: Tree, key: int, op: str) -> UpdateReceipt:
         case, new_arr, adds, removes, key_below = step
         ctx.cases.append(case)
         if case == CASE_LIST_INSERT:
-            _list_insert(ctx, cur, key)
+            _list_insert(ctx, node, key)
             break
         if case == CASE_LIST_DELETE:
-            _list_delete(ctx, cur, key)
+            _list_delete(ctx, node, key)
             break
+        if key_below is not None and not ctx.freed:
+            # a fan-out anchor commits before the descent below it could
+            # refuse the key, so the first one settles membership by search
+            _check_membership(tree, key, op)
         cont = _run_anchor(ctx, node, lo, hi, n_sub + delta, new_arr,
                            adds, removes, key_below, op)
         if cont is None:

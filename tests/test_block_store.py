@@ -73,6 +73,22 @@ def test_write_aux_rejects_overfull_and_unsorted():
         store.write_aux(bad)
 
 
+@pytest.mark.parametrize("keys,fault", [
+    ([1, 5, 9], None),
+    ([0, (1 << 64) - 1], None),
+    ([-1, 5], "key -1 outside u64 range"),
+    ([3, 1 << 64], f"key {1 << 64} outside u64 range"),
+    ([5, 5], "keys not strictly ascending at 5,5"),
+    ([1, 9, 4], "keys not strictly ascending at 9,4"),
+    # a range fault is named before an order fault, wherever it sits
+    ([9, -1], "key -1 outside u64 range"),
+    ([1, 1 << 70, 5], f"key {1 << 70} outside u64 range"),
+])
+def test_local_violation_names_key_fault(keys, fault):
+    node = BlockNode(keys, [None] * 4, None, 0, 1, keys[0])
+    assert node.local_violation(3) == (fault and f"block {keys[0]}: {fault}")
+
+
 def test_commit_smallest_rebuild():
     store = BlockStore(2)
     store.blocks[5] = leaf([5], 2)

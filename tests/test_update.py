@@ -81,6 +81,80 @@ def test_delete_missing_rejected_unchanged():
     assert tree.image() == img
 
 
+def _refusal_sizes(alpha: int, rho: int) -> list[int]:
+    """Small sizes plus those where a root that an update passes grows or shrinks its fan-out."""
+    sizes = {1, 2, alpha + 1, 2 * alpha + 3}
+    for k in (1, 2) if rho else ():
+        sizes |= {alpha + k * rho, alpha + k * rho + 1}
+    return sorted(sizes)
+
+
+@pytest.mark.parametrize("alpha,rho", [(a, r) for a in (1, 2, 3) for r in (0, 1, 3, 64)])
+def test_refused_update_leaves_store_untouched(alpha, rho, monkeypatch):
+    # a duplicate insert and a delete of a gap key are refused before any
+    # write, whichever case the descent meets on the way; some refusals pass
+    # a fan-out anchor that would commit and descend further
+    prechecked = []
+    check_membership = upd._check_membership
+
+    def watched(tree, key, op):
+        prechecked.append(op)
+        return check_membership(tree, key, op)
+
+    monkeypatch.setattr(upd, "_check_membership", watched)
+    params = Params(alpha, rho)
+    for n in _refusal_sizes(alpha, rho):
+        keys = sorted(random.Random(n).sample(range(2, 1 << 20, 2), n))
+        gaps = [keys[0] - 1] + [k + 1 for k in keys]
+        tree = oracle_tree(keys, HashedPriority(n + rho), params)
+        img, root = tree.image(), tree.root
+        refusals = [(insert, k, DuplicateKeyError) for k in keys]
+        refusals += [(delete, g, MissingKeyError) for g in gaps]
+        for op, key, err in refusals:
+            before = tree.store.stats()
+            with pytest.raises(err):
+                op(tree, key)
+            after = tree.store.stats()
+            assert tree.image() == img and tree.n == n and tree.root == root, (op, key)
+            assert not tree.store.aux and after.cur_pinned == 0
+            assert (after.writes, after.allocs, after.frees) == (
+                before.writes, before.allocs, before.frees)
+    if rho:
+        assert {"insert", "delete"} <= set(prechecked)
+
+
+def test_updates_never_peek(monkeypatch):
+    # an update counts every block it touches: none goes through the
+    # uncounted peek, in any of the eight cases or in a refusal
+    def no_peek(self, ref):
+        raise AssertionError(f"an update peeked at block {ref!r}")
+
+    all_cases = {v for name, v in vars(upd).items() if name.startswith("CASE_")}
+    rng = random.Random(22)
+    params = Params(2, 2)
+    tree = Tree.empty(params, seed=5)
+    present, cases = [], set()
+    monkeypatch.setattr(BlockStore, "peek", no_peek)
+    for _ in range(300):
+        if present and rng.random() < 0.45:
+            r = delete(tree, present.pop(rng.randrange(len(present))))
+        else:
+            k = rng.randrange(1 << 20)
+            if k in present:
+                continue
+            present.append(k)
+            r = insert(tree, k)
+        cases.update(r.cases)
+        if present:
+            with pytest.raises(DuplicateKeyError):
+                insert(tree, rng.choice(present))
+        with pytest.raises(MissingKeyError):
+            delete(tree, (1 << 20) + rng.randrange(1 << 20))
+    monkeypatch.undo()
+    assert cases == all_cases
+    assert tree.image() == oracle_build(present, tree.prio, params)
+
+
 def test_delete_only_key():
     tree = Tree.empty(Params.of(2, 0.5), seed=3)
     insert(tree, 8)
@@ -285,8 +359,9 @@ def test_list_insert_at_every_wave_boundary(alpha):
         assert r.cases == [CASE_LIST_INSERT]
         assert tree.image() == oracle_build(keys + [k], tree.prio, params)
         assert check_invariants(tree).ok
-        # the head once to classify it, then every block of the chain once
-        assert r.reads == chain + 1
+        # every block of the chain once, the head included; each passed wave
+        # once more, re-read before its child weight is rewritten
+        assert r.reads == chain + r.rewritten
         # waves hold alpha keys each; the chain is rewritten from the wave the
         # key joins, which is the later of the two waves at a boundary
         assert r.freed == chain - min(rank // alpha, chain - 1)
