@@ -293,7 +293,7 @@ def select_kth(tree: Tree, k: int) -> int:
 
 
 def scan_keys(store: BlockStore, prio, root_label: int, lo: int, hi: int,
-              on_key=None, on_block=None, pi_floor=None, exclude=()) -> None:
+              on_key=None, on_block=None, exclude=()) -> None:
     """Visit every block of the subtree whose key interval can meet (lo, hi).
 
     Pre-order on an explicit stack of pending labels: each block is read
@@ -303,8 +303,10 @@ def scan_keys(store: BlockStore, prio, root_label: int, lo: int, hi: int,
     the test, which never adds spurious visits because a visited parent
     already overlaps (lo, hi).
 
-    on_key(key) runs for every stored key in (lo, hi) with priority above
-    pi_floor and not in exclude; on_block(label, node) runs once per block.
+    on_key(key) runs for every stored key in (lo, hi) not in exclude, in
+    pre-order and ascending within a block; on_block(label, node) runs once
+    per visited block.  A partial rebuild gathers its section's keys, and
+    `range_report` its output, with one call.
     """
     excl = set(exclude)
     stack = [root_label]
@@ -315,11 +317,8 @@ def scan_keys(store: BlockStore, prio, root_label: int, lo: int, hi: int,
             on_block(node.label, node)
         if on_key is not None:
             for key in node.keys[bisect_right(node.keys, lo): bisect_left(node.keys, hi)]:
-                if key in excl:
-                    continue
-                if pi_floor is not None and prio.priority(key) <= pi_floor:
-                    continue
-                on_key(key)
+                if key not in excl:
+                    on_key(key)
         if node.fanout <= 1:
             if node.children[0] is not None:
                 stack.append(node.children[0].label)

@@ -110,58 +110,53 @@ def fast_build(keys: np.ndarray, prio, params: Params) -> Tree:
     dense[order] = np.arange(n)
     alpha = params.alpha
     blocks = store.blocks
-
-    def chain(kv, dv, parent, depth) -> int:
-        m = len(kv)
-        by_pi = np.argsort(dv)
-        head = None
-        prev: BlockNode | None = None
-        for off in range(0, m, alpha):
-            wave = by_pi[off: off + alpha]
-            wkeys = np.sort(kv[wave])
-            label = int(kv[wave[np.argmin(dv[wave])]])
-            node = BlockNode([int(k) for k in wkeys], [None] * (alpha + 1),
-                             parent, depth, 1, label)
-            if prev is None:
-                head = label
-            else:
-                prev.children[0] = ChildRef(label, m - off)
-            blocks[label] = node
-            prev, parent, depth = node, label, depth + 1
-        return head
-
-    def build(kv, dv, parent, depth) -> int:
+    # pending subtrees (keys, dense ranks, parent, depth, parent's child
+    # slots, slot); children are pushed in reverse slot order, so blocks are
+    # laid out in pre-order
+    stack = [(keys, dense, None, 0, None, 0)]
+    while stack:
+        kv, dv, parent, depth, slots, slot = stack.pop()
         m = len(kv)
         d = fanout_bound(m, params)
         if m > alpha and d <= 1:
-            return chain(kv, dv, parent, depth)
-        if m <= alpha:
+            by_pi = np.argsort(dv)
+            prev: BlockNode | None = None
+            for off in range(0, m, alpha):
+                wave = by_pi[off: off + alpha]
+                wkeys = np.sort(kv[wave])
+                label = int(kv[wave[np.argmin(dv[wave])]])
+                node = BlockNode([int(k) for k in wkeys], [None] * (alpha + 1),
+                                 parent, depth, 1, label)
+                if prev is not None:
+                    prev.children[0] = ChildRef(label, m - off)
+                blocks[label] = node
+                prev, parent, depth = node, label, depth + 1
+            label = int(kv[by_pi[0]])
+        elif m <= alpha:
             label = int(kv[np.argmin(dv)])
-            node = BlockNode([int(k) for k in kv], [None] * (alpha + 1),
+            blocks[label] = BlockNode([int(k) for k in kv], [None] * (alpha + 1),
+                                      parent, depth, d, label)
+        else:
+            arr_idx = np.argpartition(dv, alpha)[:alpha]
+            arr_order = arr_idx[np.argsort(dv[arr_idx])]
+            label = int(kv[arr_order[0]])
+            sep_keys = np.sort(kv[arr_order[: d - 1]])
+            node = BlockNode(sorted(int(k) for k in kv[arr_idx]), [None] * (alpha + 1),
                              parent, depth, d, label)
             blocks[label] = node
-            return label
-        arr_idx = np.argpartition(dv, alpha)[:alpha]
-        arr_order = arr_idx[np.argsort(dv[arr_idx])]
-        label = int(kv[arr_order[0]])
-        sep_keys = np.sort(kv[arr_order[: d - 1]])
-        node = BlockNode(sorted(int(k) for k in kv[arr_idx]), [None] * (alpha + 1),
-                         parent, depth, d, label)
-        blocks[label] = node
-        mask = np.ones(m, dtype=bool)
-        mask[arr_idx] = False
-        rest_k, rest_d = kv[mask], dv[mask]
-        assign = np.searchsorted(sep_keys, rest_k)
-        for i in range(d):
-            sel = assign == i
-            cnt = int(sel.sum())
-            if cnt == 0:
-                continue
-            sub = build(rest_k[sel], rest_d[sel], label, depth + 1)
-            node.children[i] = ChildRef(sub, cnt)
-        return label
-
-    tree.root = build(keys, dense, None, 0)
+            mask = np.ones(m, dtype=bool)
+            mask[arr_idx] = False
+            rest_k, rest_d = kv[mask], dv[mask]
+            assign = np.searchsorted(sep_keys, rest_k)
+            for i in range(d - 1, -1, -1):
+                sel = assign == i
+                if sel.any():
+                    stack.append((rest_k[sel], rest_d[sel], label, depth + 1,
+                                  node.children, i))
+        if slots is None:
+            tree.root = label
+        else:
+            slots[slot] = ChildRef(label, m)
     return tree
 
 

@@ -5,14 +5,13 @@ first block that either must take the key into its array (its priority
 falls below the block's maximum) or must change its fan-out.  Around that
 anchor only the separator intervals whose key content changes are laid
 out again; every other child subtree is re-linked untouched.  A rebuilt
-section's subtree is staged into auxiliary storage from one explicit stack
-of pending sections, root first, in pre-order.  Each section's keys come
-from `_section_keys`: range-limited scans of the old subtrees plus the
-keys pushed down into it, all under the same interval and priority-floor
-tests.  The staged blocks are promoted to the UR region in one atomic
-commit.  Chains (fan-out one) are cut into priority waves by one emitter,
-`_waves`, whether a rebuilt section becomes a chain or an update re-waves
-an old one.
+section is read once: `_top_pass` scans each old subtree that overlaps it,
+adds the keys pushed down into it, and ranks the pool in one call.  Its
+subtree is then laid out in memory on one explicit stack, root first, in
+pre-order, and staged into auxiliary storage; the staged blocks are
+promoted to the UR region in one atomic commit.  Chains (fan-out one) are
+cut into priority waves by one emitter, `_waves`, whether a rebuilt
+section becomes a chain or an update re-waves an old one.
 
 Ancestor blocks on the search path keep their layout but carry a child
 weight that changed by one; those are in-place field rewrites of the
@@ -28,15 +27,16 @@ search.  Every block an update touches is a counted read, including the
 re-read before an in-place rewrite.
 
 Main-memory discipline: scans keep an explicit stack of pending child
-labels and pin one block at a time, reading each block once; rebuilds run
-on an explicit stack of pending sections.  A chain build or re-wave reads
-each old wave once and ranks the keys it holds, at most alpha + rho + 1,
-in one call.  So the number of pinned blocks stays constant in tree size.
+labels and pin one block at a time, reading each block once.  A rebuild
+reads each old block of its section once and holds the section's S keys
+in memory while it lays the section out, so pooled keys are O(S); a chain
+re-wave holds the keys of the waves it rewrites, at most alpha + rho + 1.
+The number of pinned blocks stays at one, constant in tree size.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -178,45 +178,20 @@ class _Ctx:
 # ---------------------------------------------------------------------------
 
 
-def _section_keys(ctx: _Ctx, sources, lo: int, hi: int, floor, include, exclude,
-                  on_key, on_block=None) -> None:
-    """Pass every key of the section (lo, hi) whose priority is above `floor` to on_key.
+def _top_pass(ctx: _Ctx, sources, lo: int, hi: int, include, exclude) -> list[int]:
+    """Every key of the section (lo, hi), in ascending priority: the rebuild's only store pass.
 
     Stored keys come from one scan per source subtree, leaving out `exclude`;
-    the `include` keys (pushed down into the section, held by no old block)
-    follow under the same interval and floor tests.
+    each visited block is read once and marked obsolete.  The `include` keys
+    in (lo, hi) (pushed down into the section, held by no old block) join them.
     """
-    prio = ctx.prio
+    pool: list[int] = []
+    on_block = ctx.obsolete_recorder()
     for src in sources:
-        scan_keys(ctx.store, prio, src, lo, hi, on_key=on_key, on_block=on_block,
-                  pi_floor=floor, exclude=exclude)
-    for key in include:
-        if lo < key < hi and (floor is None or prio.priority(key) > floor):
-            on_key(key)
-
-
-def _top_pass(ctx: _Ctx, sources, lo: int, hi: int, floor, exclude, include=()):
-    """alpha smallest-priority keys of the section plus its total count.
-
-    Scans each source subtree once and marks every visited block obsolete.
-    """
-    prio, k = ctx.prio, ctx.alpha
-    cands: list[tuple] = []
-    total = 0
-
-    def on_key(key: int) -> None:
-        nonlocal total
-        total += 1
-        p = prio.priority(key)
-        if len(cands) < k:
-            insort(cands, (p, key))
-        elif p < cands[-1][0]:
-            insort(cands, (p, key))
-            cands.pop()
-
-    _section_keys(ctx, sources, lo, hi, floor, include, exclude, on_key,
-                  ctx.obsolete_recorder())
-    return cands, total
+        scan_keys(ctx.store, ctx.prio, src, lo, hi, on_key=pool.append,
+                  on_block=on_block, exclude=exclude)
+    pool += [key for key in include if lo < key < hi]
+    return _by_priority(ctx.prio, pool)
 
 
 def _count_pass(ctx: _Ctx, source: int, lo: int, hi: int, exclude=()) -> int:
@@ -230,63 +205,34 @@ def _count_pass(ctx: _Ctx, source: int, lo: int, hi: int, exclude=()) -> int:
     return count
 
 
-def _bin_pass(ctx: _Ctx, sources, lo: int, hi: int, bounds: list[int],
-              skip: set[int], floor, include, exclude):
-    """Counts and minimum-priority key per bin of the section's keys.
-
-    bounds: active separators (ascending); defines len(bounds)+1 bins over
-    (lo, hi).  Keys in `skip` (the new array) are ignored.
-    """
-    prio = ctx.prio
-    nbins = len(bounds) + 1
-    counts = [0] * nbins
-    min_pi: list[tuple | None] = [None] * nbins
-
-    def on_key(key: int) -> None:
-        if key in skip:
-            return
-        i = bisect_right(bounds, key)
-        counts[i] += 1
-        p = prio.priority(key)
-        if min_pi[i] is None or p < min_pi[i]:
-            min_pi[i] = p
-
-    _section_keys(ctx, sources, lo, hi, floor, include, exclude, on_key)
-    return counts, min_pi
-
-
 # ---------------------------------------------------------------------------
 # fresh subtree construction (staged into auxiliary storage)
 # ---------------------------------------------------------------------------
 
 
-def _assemble(ctx: _Ctx, lo: int, hi: int, weight: int, sources, include, exclude,
-              floor, parent: int | None, depth: int):
-    """Build one block for a fresh section; returns (node, child section specs).
+def _bin_pass(keys: list[int], seps: list[int]) -> list[list[int]]:
+    """`keys` split into the len(seps) + 1 slots that the ascending `seps` bound, order kept."""
+    bins: list[list[int]] = [[] for _ in range(len(seps) + 1)]
+    for key in keys:
+        bins[bisect_right(seps, key)].append(key)
+    return bins
 
-    The keys of the section are exactly those in (lo, hi) whose priority
-    exceeds `floor` (keys at or below it sit in staged ancestor arrays
-    already).  A child spec is (lo, hi, weight, label).
+
+def _assemble(ctx: _Ctx, keys: list[int], parent: int | None, depth: int):
+    """One block over `keys` (ascending priority); returns (node, keys of each child slot).
+
+    The array holds the alpha smallest-priority keys and is labelled by the
+    first; the d - 1 smallest are the separators that bin the rest.  Each
+    child's label is the first key of its slot.
     """
     alpha = ctx.alpha
-    cands, total = _top_pass(ctx, sources, lo, hi, floor, exclude, include)
-    assert total == weight, "section weight drifted"
-    arr = sorted(k for _, k in cands)
-    d = fanout_bound(weight, ctx.params)
-    node = BlockNode(arr, [None] * (alpha + 1), parent, depth, d, cands[0][1])
-    if weight <= len(arr):
-        return node, []
-    seps = sorted(k for _, k in cands[: d - 1])
-    counts, min_pi = _bin_pass(ctx, sources, lo, hi, seps, set(arr), floor, include, exclude)
-    bounds = [lo] + seps + [hi]
-    specs = []
-    for i, cnt in enumerate(counts):
-        if cnt == 0:
-            continue
-        node.children[i] = ChildRef(min_pi[i][1], cnt)
-        specs.append((bounds[i], bounds[i + 1], cnt, min_pi[i][1]))
-    assert len(arr) + sum(counts) == weight
-    return node, specs
+    d = fanout_bound(len(keys), ctx.params)
+    node = BlockNode(sorted(keys[:alpha]), [None] * (alpha + 1), parent, depth, d, keys[0])
+    bins = _bin_pass(keys[alpha:], sorted(keys[: d - 1]))
+    for i, sub in enumerate(bins):
+        if sub:
+            node.children[i] = ChildRef(sub[0], len(sub))
+    return node, bins
 
 
 def _by_priority(prio, keys) -> list[int]:
@@ -324,54 +270,37 @@ def _waves(ctx: _Ctx, keys: list[int], below: ChildRef | None,
     return keys[0] if keys else None
 
 
-def _build_chain(ctx: _Ctx, lo: int, hi: int, weight: int, sources, include, exclude,
-                 floor, parent: int | None, depth: int) -> int:
-    """Stage a chain of priority waves covering (lo, hi); returns the head label.
-
-    One recorded pass collects the section's keys above `floor`; ranked in
-    one call they are cut into waves.  The pass holds at most alpha + rho
-    keys, since fanout_bound(w) <= 1 means w <= alpha + rho.
-    """
-    pool: list[int] = []
-    _section_keys(ctx, sources, lo, hi, floor, include, exclude, pool.append,
-                  ctx.obsolete_recorder())
-    assert len(pool) == weight, "section weight drifted"
-    return _waves(ctx, _by_priority(ctx.prio, pool), None, parent, depth)
+def _build_chain(ctx: _Ctx, keys: list[int], parent: int | None, depth: int) -> int:
+    """Stage `keys` (ascending priority) as a fresh chain of waves; returns the head label."""
+    return _waves(ctx, keys, None, parent, depth)
 
 
 def _build_fresh(ctx: _Ctx, lo: int, hi: int, weight: int, sources, include, exclude,
                  parent: int | None, depth: int) -> int | None:
     """Stage a complete subtree for (lo, hi); returns its root label.
 
-    One explicit stack of pending sections (lo, hi, weight, floor, parent,
-    depth, label), the root first.  Children are pushed in reverse slot
-    order, so sections are scanned and staged in pre-order.  Every section
-    draws its keys from the same sources, include and exclude keys.
+    One `_top_pass` gathers and ranks the section's keys; the subtree is then
+    laid out in memory from one explicit stack of (keys, parent, depth)
+    tasks, the root first.  Children are pushed in reverse slot order, so
+    blocks are staged in pre-order.
     """
     if weight == 0:
         for src in sources:
             ctx.collect_subtree(src)
         return None
-    alpha, params, prio = ctx.alpha, ctx.params, ctx.prio
-    root = None
-    stack = [(lo, hi, weight, None, parent, depth, None)]
+    pool = _top_pass(ctx, sources, lo, hi, include, exclude)
+    assert len(pool) == weight, "section weight drifted"
+    alpha, params = ctx.alpha, ctx.params
+    stack = [(pool, parent, depth)]
     while stack:
-        lo, hi, w, floor, parent, depth, want = stack.pop()
-        if w > alpha and fanout_bound(w, params) <= 1:
-            got = _build_chain(ctx, lo, hi, w, sources, include, exclude,
-                               floor, parent, depth)
-        else:
-            node, specs = _assemble(ctx, lo, hi, w, sources, include, exclude,
-                                    floor, parent, depth)
-            ctx.stage(node)
-            got = node.label
-            node_floor = max(map(prio.priority, node.keys))
-            for slo, shi, sw, label in reversed(specs):
-                stack.append((slo, shi, sw, node_floor, got, depth + 1, label))
-        assert want in (None, got), "label drifted from the parent slot"
-        if root is None:
-            root = got
-    return root
+        keys, parent, depth = stack.pop()
+        if len(keys) > alpha and fanout_bound(len(keys), params) <= 1:
+            _build_chain(ctx, keys, parent, depth)
+            continue
+        node, bins = _assemble(ctx, keys, parent, depth)
+        ctx.stage(node)
+        stack.extend((sub, node.label, depth + 1) for sub in reversed(bins) if sub)
+    return pool[0]
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from rbst.metrics import (
     receipts_to_csv, rows_to_csv, sample_keys,
 )
 from rbst.oracle import oracle_build
-from rbst.priority import HashedPriority
+from rbst.priority import ExplicitPriority, HashedPriority
 
 
 @pytest.mark.parametrize("case", range(16))
@@ -22,6 +22,16 @@ def test_fast_build_matches_oracle(case):
     prio = HashedPriority(case)
     tree = fast_build(keys, prio, params)
     assert tree.image() == oracle_build([int(k) for k in keys], prio, params)
+
+
+def test_fast_build_deep_path_without_recursion():
+    # ascending priorities at alpha 1, unbuffered: every block holds one key
+    # and a right child only, so the tree is one path 3,000 blocks deep
+    keys = list(range(1, 3001))
+    prio = ExplicitPriority.from_order(keys)
+    params = Params.unbuffered(1)
+    tree = fast_build(np.array(keys, dtype=np.uint64), prio, params)
+    assert tree.image() == oracle_build(keys, prio, params)
 
 
 def test_sample_keys_distinct_sorted():

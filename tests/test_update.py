@@ -260,10 +260,10 @@ def test_plan_bounds_by_case(rng, monkeypatch):
 
 @pytest.mark.parametrize("case", range(40))
 def test_top_against_flat_scan(case):
-    # a rebuild's top pass: the alpha smallest-priority keys of a range,
-    # leaving out excluded keys and those at or below a priority floor; keys
-    # pushed down into the section (include, held by no block) pass the same
-    # tests as stored keys
+    # a rebuild's only store pass: every key of a range, leaving out excluded
+    # keys, plus the keys pushed down into the section (include, held by no
+    # block) that fall in the range, all in ascending priority; every block
+    # it reads is marked obsolete
     rng = random.Random(case + 100)
     alpha, rho = GRID[case % len(GRID)]
     params = Params(alpha, rho)
@@ -273,15 +273,15 @@ def test_top_against_flat_scan(case):
     tree = build_by_inserts(keys, params, seed=0, prio=prio)
     lo = rng.randrange(-1, 1000)
     hi = lo + rng.randrange(0, 1000 - max(lo, 0))
-    floor = prio.priority(rng.choice(keys)) if case % 2 else None
     exclude = rng.sample(keys, n // 4)
     include = rng.sample(sorted(set(range(1000)) - set(keys)), rng.randrange(12))
-    cands, total = upd._top_pass(upd._Ctx(tree), [tree.root], lo, hi, floor, exclude,
-                                 include)
-    want = sorted((prio.priority(k), k) for k in keys + include
-                  if lo < k < hi and k not in exclude)
-    want = [c for c in want if floor is None or c[0] > floor]
-    assert cands == want[:alpha] and total == len(want)
+    ctx = upd._Ctx(tree)
+    tree.store.reset_stats()
+    got = upd._top_pass(ctx, [tree.root], lo, hi, include, exclude)
+    want = sorted((k for k in keys + include if lo < k < hi and k not in exclude),
+                  key=prio.priority)
+    assert got == want
+    assert tree.store.stats().reads == len(ctx._site_obsolete) >= 1
 
 
 def _image_diff(before: bytes, after: bytes):
@@ -427,6 +427,48 @@ def test_chain_rebuild_reads_linear(rho):
     assert r.cases == [CASE_IN_ARRAY_ACTIVE]
     assert tree.image() == oracle_build(keys + [x], prio, params)
     assert r.reads <= 4 * r.freed + 8, (r.reads, r.freed)
+
+
+@pytest.mark.parametrize("alpha,rho", GRID)
+def test_rebuild_reads_each_block_once(alpha, rho, monkeypatch):
+    # a partial rebuild gathers its section with one pass over the old
+    # subtrees: no block is read twice in one rebuild, and every block it
+    # reads is one the update frees
+    calls, reads = [], None
+    store_read, build_fresh = BlockStore.read, upd._build_fresh
+
+    def read(store, label):
+        if reads is not None:
+            reads.append(label)
+        return store_read(store, label)
+
+    def watched(ctx, *args):
+        nonlocal reads
+        reads = []
+        try:
+            return build_fresh(ctx, *args)
+        finally:
+            calls.append((reads, set(ctx._site_obsolete)))
+            reads = None
+
+    monkeypatch.setattr(BlockStore, "read", read)
+    monkeypatch.setattr(upd, "_build_fresh", watched)
+    rng = random.Random(alpha * 10 + rho)
+    present = rng.sample(range(1 << 26), 300)
+    tree = oracle_tree(present, HashedPriority(rho), Params(alpha, rho))
+    for i in range(300):
+        if i % 2:
+            delete(tree, present.pop(rng.randrange(len(present))))
+        else:
+            k = rng.randrange(1 << 26)
+            if k not in present:
+                present.append(k)
+                insert(tree, k)
+    assert tree.image() == oracle_build(present, tree.prio, tree.params)
+    assert any(len(labels) > 1 for labels, _ in calls)
+    for labels, obsolete in calls:
+        assert len(labels) == len(set(labels)), sorted(labels)
+        assert set(labels) <= obsolete
 
 
 @pytest.mark.parametrize("case", range(12))
