@@ -7,9 +7,10 @@ order-of-growth claims get a fitted constant that is reported rather
 than assumed.  All randomness derives from the configured seed base, so
 identical configs produce identical CSV bytes.
 
-Trees at bench scale are constructed with a vectorized builder that
-follows the same recursive layout as the reference builder and is
-cross-checked against it for byte equality in the test suite.
+Trees at bench scale are built by `fast_build`: one numpy ranking of the
+key set, then the explicit-stack layout routine that partial rebuilds use
+(`update.layout_subtree`).  The reference builder in `oracle.py` shares
+none of it, and the test suite checks the two for byte equality.
 """
 
 from __future__ import annotations
@@ -19,12 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import BlockNode, ChildRef
-from .core import Params, Tree, check_invariants, fanout_bound, search_path_profile
+from .blocks import BlockNode
+from .core import Params, Tree, check_invariants, search_path_profile
 from .errors import ConfigError
 from .priority import HashedPriority
 from .store import BlockStore
-from .update import UpdateReceipt, delete, insert
+from .update import UpdateReceipt, _by_priority, delete, insert, layout_subtree
 
 RECEIPT_COLUMNS = ("m", "m_prime", "reads", "writes", "d_prime")
 
@@ -97,66 +98,35 @@ def sample_keys(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def fast_build(keys: np.ndarray, prio, params: Params) -> Tree:
-    """Vectorized layout of the tree over `keys`; same output as oracle_build."""
+    """The tree over `keys` (any order, duplicates dropped); same image as oracle_build.
+
+    The keys are ranked once by `_by_priority` and laid out by
+    `layout_subtree`, the routine a partial rebuild uses; each emitted block
+    is stored by its label.
+    """
     keys = np.unique(np.asarray(keys, dtype=np.uint64))
     n = int(len(keys))
     store = BlockStore(params.alpha)
     tree = Tree(store, params, prio, None, n)
     if n == 0:
         return tree
-    ranks = prio.ranks(keys)
-    order = np.lexsort((keys, ranks))
-    dense = np.empty(n, dtype=np.int64)
-    dense[order] = np.arange(n)
-    alpha = params.alpha
     blocks = store.blocks
-    # pending subtrees (keys, dense ranks, parent, depth, parent's child
-    # slots, slot); children are pushed in reverse slot order, so blocks are
-    # laid out in pre-order
-    stack = [(keys, dense, None, 0, None, 0)]
-    while stack:
-        kv, dv, parent, depth, slots, slot = stack.pop()
-        m = len(kv)
-        d = fanout_bound(m, params)
-        if m > alpha and d <= 1:
-            by_pi = np.argsort(dv)
-            prev: BlockNode | None = None
-            for off in range(0, m, alpha):
-                wave = by_pi[off: off + alpha]
-                wkeys = np.sort(kv[wave])
-                label = int(kv[wave[np.argmin(dv[wave])]])
-                node = BlockNode([int(k) for k in wkeys], [None] * (alpha + 1),
-                                 parent, depth, 1, label)
-                if prev is not None:
-                    prev.children[0] = ChildRef(label, m - off)
-                blocks[label] = node
-                prev, parent, depth = node, label, depth + 1
-            label = int(kv[by_pi[0]])
-        elif m <= alpha:
-            label = int(kv[np.argmin(dv)])
-            blocks[label] = BlockNode([int(k) for k in kv], [None] * (alpha + 1),
-                                      parent, depth, d, label)
-        else:
-            arr_idx = np.argpartition(dv, alpha)[:alpha]
-            arr_order = arr_idx[np.argsort(dv[arr_idx])]
-            label = int(kv[arr_order[0]])
-            sep_keys = np.sort(kv[arr_order[: d - 1]])
-            node = BlockNode(sorted(int(k) for k in kv[arr_idx]), [None] * (alpha + 1),
-                             parent, depth, d, label)
-            blocks[label] = node
-            mask = np.ones(m, dtype=bool)
-            mask[arr_idx] = False
-            rest_k, rest_d = kv[mask], dv[mask]
-            assign = np.searchsorted(sep_keys, rest_k)
-            for i in range(d - 1, -1, -1):
-                sel = assign == i
-                if sel.any():
-                    stack.append((rest_k[sel], rest_d[sel], label, depth + 1,
-                                  node.children, i))
-        if slots is None:
-            tree.root = label
-        else:
-            slots[slot] = ChildRef(label, m)
+
+    def emit(node: BlockNode) -> None:
+        # `k + 0` boxes each int anew, next to its block: the ranking boxed
+        # every key in priority order over the whole set, and with a block's
+        # ints scattered so, successor ran about a third slower on the
+        # chain-heavy trees (alpha 4 and 16 at c_rho 108, n = 1e5)
+        node.keys = [k + 0 for k in node.keys]
+        node.label += 0
+        for ref in node.children:
+            if ref is not None:
+                ref.label += 0
+        blocks[node.label] = node
+
+    pool = _by_priority(prio, keys.tolist())
+    layout_subtree(pool, params, None, 0, emit)
+    tree.root = pool[0]
     return tree
 
 

@@ -7,11 +7,13 @@ anchor only the separator intervals whose key content changes are laid
 out again; every other child subtree is re-linked untouched.  A rebuilt
 section is read once: `_top_pass` scans each old subtree that overlaps it,
 adds the keys pushed down into it, and ranks the pool in one call.  Its
-subtree is then laid out in memory on one explicit stack, root first, in
-pre-order, and staged into auxiliary storage; the staged blocks are
-promoted to the UR region in one atomic commit.  Chains (fan-out one) are
-cut into priority waves by one emitter, `_waves`, whether a rebuilt
-section becomes a chain or an update re-waves an old one.
+subtree is then laid out in memory by `layout_subtree`, on one explicit
+stack, root first, in pre-order, and staged into auxiliary storage; the
+staged blocks are promoted to the UR region in one atomic commit.
+`metrics.fast_build` lays out a whole tree with the same routine, so a
+rebuilt section is a fresh build of its keys by construction.  Chains
+(fan-out one) are cut into priority waves by one emitter, `_waves`, whether
+a layout reaches a chain or an update re-waves an old one.
 
 Ancestor blocks on the search path keep their layout but carry a child
 weight that changed by one; those are in-place field rewrites of the
@@ -43,7 +45,7 @@ import numpy as np
 
 from .blocks import BlockNode, ChildRef
 from .core import (
-    NEG_INF, POS_INF, Tree, active_separators, fanout_bound, scan_keys, successor,
+    NEG_INF, POS_INF, Params, Tree, active_separators, fanout_bound, scan_keys, successor,
 )
 from .errors import ConfigError, DuplicateKeyError, MissingKeyError
 from .store import AuxHandle
@@ -218,15 +220,15 @@ def _bin_pass(keys: list[int], seps: list[int]) -> list[list[int]]:
     return bins
 
 
-def _assemble(ctx: _Ctx, keys: list[int], parent: int | None, depth: int):
+def _assemble(params: Params, keys: list[int], parent: int | None, depth: int):
     """One block over `keys` (ascending priority); returns (node, keys of each child slot).
 
     The array holds the alpha smallest-priority keys and is labelled by the
     first; the d - 1 smallest are the separators that bin the rest.  Each
     child's label is the first key of its slot.
     """
-    alpha = ctx.alpha
-    d = fanout_bound(len(keys), ctx.params)
+    alpha = params.alpha
+    d = fanout_bound(len(keys), params)
     node = BlockNode(sorted(keys[:alpha]), [None] * (alpha + 1), parent, depth, d, keys[0])
     bins = _bin_pass(keys[alpha:], sorted(keys[: d - 1]))
     for i, sub in enumerate(bins):
@@ -243,46 +245,51 @@ def _by_priority(prio, keys) -> list[int]:
     return arr[np.lexsort((arr, prio.ranks(arr)))].tolist()
 
 
-def _waves(ctx: _Ctx, keys: list[int], below: ChildRef | None,
-           parent: int | None, depth: int) -> int | None:
-    """Stage `keys` and the old chain at `below` as linked waves; returns the head.
+def _waves(keys: list[int], alpha: int, parent: int | None, depth: int, emit) -> int | None:
+    """Emit `keys` (ascending priority) as a chain of linked waves; returns the head label.
 
-    `keys` ascend in priority and rank below the chain at `below` (None for
-    none), whose blocks are read once each, released at once and marked
-    obsolete.  Their keys, at most alpha + rho + 1 with `keys`, are ranked in
-    one call; each alpha-slice is a wave linked to the next slice's head.
+    Each alpha-slice is one wave, linked to the next slice's head.
     """
-    alpha = ctx.alpha
-    tail: list[int] = []
-    while below is not None:
-        nxt = ctx.read(below.label)
-        ctx.mark_obsolete(below.label, nxt.depth)
-        tail += nxt.keys
-        below = nxt.children[0]
-    keys = keys + _by_priority(ctx.prio, tail)
     for i in range(0, len(keys), alpha):
         node = BlockNode(sorted(keys[i:i + alpha]), [None] * (alpha + 1),
                          parent, depth, 1, keys[i])
         if i + alpha < len(keys):
             node.children[0] = ChildRef(keys[i + alpha], len(keys) - i - alpha)
-        ctx.stage(node)
+        emit(node)
         parent, depth = node.label, depth + 1
     return keys[0] if keys else None
 
 
-def _build_chain(ctx: _Ctx, keys: list[int], parent: int | None, depth: int) -> int:
-    """Stage `keys` (ascending priority) as a fresh chain of waves; returns the head label."""
-    return _waves(ctx, keys, None, parent, depth)
+def _build_chain(keys: list[int], alpha: int, parent: int | None, depth: int, emit) -> int:
+    """Emit `keys` (ascending priority) as a fresh chain of waves; returns the head label."""
+    return _waves(keys, alpha, parent, depth, emit)
+
+
+def layout_subtree(keys: list[int], params: Params, parent: int | None, depth: int, emit) -> None:
+    """Lay out the subtree over `keys` (ascending priority), emitting each block in pre-order.
+
+    One explicit stack of (keys, parent, depth) tasks, the root first;
+    children are pushed in reverse slot order.  A fresh build and a rebuilt
+    section both go through here, so a section equals a fresh build of it.
+    """
+    alpha = params.alpha
+    stack = [(keys, parent, depth)]
+    while stack:
+        keys, parent, depth = stack.pop()
+        if len(keys) > alpha and fanout_bound(len(keys), params) <= 1:
+            _build_chain(keys, alpha, parent, depth, emit)
+            continue
+        node, bins = _assemble(params, keys, parent, depth)
+        emit(node)
+        stack.extend((sub, node.label, depth + 1) for sub in reversed(bins) if sub)
 
 
 def _build_fresh(ctx: _Ctx, lo: int, hi: int, weight: int, sources, include, exclude,
                  parent: int | None, depth: int) -> int | None:
     """Stage a complete subtree for (lo, hi); returns its root label.
 
-    One `_top_pass` gathers and ranks the section's keys; the subtree is then
-    laid out in memory from one explicit stack of (keys, parent, depth)
-    tasks, the root first.  Children are pushed in reverse slot order, so
-    blocks are staged in pre-order.
+    One `_top_pass` gathers and ranks the section's keys; `layout_subtree`
+    lays them out in memory and each block is staged as it is emitted.
     """
     if weight == 0:
         for src in sources:
@@ -290,16 +297,7 @@ def _build_fresh(ctx: _Ctx, lo: int, hi: int, weight: int, sources, include, exc
         return None
     pool = _top_pass(ctx, sources, lo, hi, include, exclude)
     assert len(pool) == weight, "section weight drifted"
-    alpha, params = ctx.alpha, ctx.params
-    stack = [(pool, parent, depth)]
-    while stack:
-        keys, parent, depth = stack.pop()
-        if len(keys) > alpha and fanout_bound(len(keys), params) <= 1:
-            _build_chain(ctx, keys, parent, depth)
-            continue
-        node, bins = _assemble(ctx, keys, parent, depth)
-        ctx.stage(node)
-        stack.extend((sub, node.label, depth + 1) for sub in reversed(bins) if sub)
+    layout_subtree(pool, ctx.params, parent, depth, ctx.stage)
     return pool[0]
 
 
@@ -427,9 +425,22 @@ def _run_anchor(ctx: _Ctx, node: BlockNode, lo: int, hi: int, n_new: int,
 
 
 def _rewave(ctx: _Ctx, node: BlockNode, keys: list[int]) -> None:
-    """Rewrite the chain from `node` down with `keys` (by priority) in place of its array."""
+    """Rewrite the chain from `node` down with `keys` (by priority) in place of its array.
+
+    `keys` rank below the waves under `node`, which are read once each,
+    released at once and marked obsolete.  Their keys, at most alpha + rho + 1
+    with `keys`, are ranked in one call and re-cut into waves after `keys`.
+    """
     ctx.mark_obsolete(node.label, node.depth)
-    ctx.relabels[node.label] = _waves(ctx, keys, node.children[0], node.parent, node.depth)
+    tail: list[int] = []
+    below = node.children[0]
+    while below is not None:
+        nxt = ctx.read(below.label)
+        ctx.mark_obsolete(below.label, nxt.depth)
+        tail += nxt.keys
+        below = nxt.children[0]
+    keys = keys + _by_priority(ctx.prio, tail)
+    ctx.relabels[node.label] = _waves(keys, ctx.alpha, node.parent, node.depth, ctx.stage)
     ctx.commit_site()
 
 

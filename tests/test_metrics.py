@@ -11,15 +11,33 @@ from rbst.oracle import oracle_build
 from rbst.priority import ExplicitPriority, HashedPriority
 
 
-@pytest.mark.parametrize("case", range(16))
+# (priority kind, rho, n) at alpha 4: no key, one key, one full block, and
+# 31, 32 and 33 keys around `_NUMPY_FROM` (32), where the ranking switches
+# from a per-key sort to one lexsort; rho 40 makes 33 keys a chain
+EDGES = [pytest.param((kind, rho, n), id=f"{kind}-rho{rho}-n{n}")
+         for kind in ("hashed", "explicit") for rho in (0, 1, 40)
+         for n in (0, 1, 4, 31, 32, 33)]
+
+
+@pytest.mark.parametrize("case", list(range(16)) + EDGES)
 def test_fast_build_matches_oracle(case):
-    rng = np.random.default_rng(case)
-    alpha = [1, 2, 3, 5][case % 4]
-    rho = [0, 1, 3, 40][case // 4]
-    params = Params(alpha, rho)
-    n = int(rng.integers(0, 400))
-    keys = sample_keys(rng, n)
-    prio = HashedPriority(case)
+    if isinstance(case, tuple):
+        kind, rho, n = case
+        rng = np.random.default_rng(n)
+        params = Params(4, rho)
+        keys = sample_keys(rng, n)
+        if kind == "hashed":
+            prio = HashedPriority(n + rho)
+        else:
+            prio = ExplicitPriority.from_order(int(k) for k in rng.permutation(keys))
+    else:
+        rng = np.random.default_rng(case)
+        alpha = [1, 2, 3, 5][case % 4]
+        rho = [0, 1, 3, 40][case // 4]
+        params = Params(alpha, rho)
+        n = int(rng.integers(0, 400))
+        keys = sample_keys(rng, n)
+        prio = HashedPriority(case)
     tree = fast_build(keys, prio, params)
     assert tree.image() == oracle_build([int(k) for k in keys], prio, params)
 

@@ -618,3 +618,30 @@ def test_checker_after_every_update(rng):
             insert(tree, k)
         report = check_invariants(tree)
         assert report.ok, report.violations[:3]
+
+
+# the benchmark's parameters (query-a4, churn-a16, mixed-a4-c2) and a key
+# count per tree: at 3,500 keys the alpha-16 root has fan-out 2 over two
+# chains, where 3,000 keys would be a single chain
+BENCH_PARAMS = [(Params.of(4, 0.5, 108), 3000), (Params.of(16, 0.5, 108), 3500),
+                (Params.of(4, 0.5, 2), 3000)]
+
+
+@pytest.mark.parametrize("params,n", BENCH_PARAMS, ids=["query-a4", "churn-a16", "mixed-a4-c2"])
+def test_churn_at_bench_params_matches_oracle(params, n):
+    # the benchmark's final-image check compares against fast_build, which
+    # lays out with the updates' routine; this one starts from and ends at
+    # the oracle, which shares no layout code with either
+    rng = random.Random(params.rho)
+    present = rng.sample(range(1 << 40), n)
+    tree = oracle_tree(present, HashedPriority(params.rho), params)
+    for i in range(200):
+        if i % 2:
+            delete(tree, present.pop(rng.randrange(len(present))))
+        else:
+            k = rng.randrange(1 << 40)
+            while k in present:
+                k = rng.randrange(1 << 40)
+            present.append(k)
+            insert(tree, k)
+    assert tree.image() == oracle_build(present, tree.prio, params)
