@@ -1,12 +1,14 @@
 """Command-line entry point: verification, benchmarks, and an image demo.
 
-Exit codes: 0 on success, 1 when a check or requested operation fails,
-2 on usage errors (argparse default).
+Exit codes: 0 on success, 1 when a check or requested operation fails
+(including an image or CSV path that cannot be read or written), 2 on
+usage errors (argparse default).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 from . import metrics
@@ -57,13 +59,23 @@ def _config(args, **extra) -> metrics.ExperimentConfig:
     )
 
 
-def _emit_rows(rows, out_path) -> int:
-    csv = metrics.rows_to_csv(rows)
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(csv)
-    else:
-        sys.stdout.write(csv)
+def _open_out(path: str | None, default=None):
+    """`path` opened for writing, or `default` when no path was given.
+
+    Opened before a bench runs, so a bad path fails at once, not after the run.
+    """
+    return open(path, "w") if path else contextlib.nullcontext(default)
+
+
+def _load(path: str) -> Tree:
+    try:
+        return Tree.load(path)
+    except FileNotFoundError:
+        raise FileNotFoundError(f"image not found: {path}") from None
+
+
+def _emit_rows(rows, out) -> int:
+    out.write(metrics.rows_to_csv(rows))
     for r in rows:
         ci = f" ±{r.half_ci:.4g}" if r.half_ci else ""
         status = {"upper": "<=", "lower": ">="}.get(r.kind, "~~")
@@ -88,68 +100,59 @@ def _cmd_verify(args) -> int:
 
 def _cmd_bench_depth(args) -> int:
     cfg = _config(args, searches=args.searches)
-    return _emit_rows(metrics.bench_depth(cfg), args.out)
+    with _open_out(args.out, sys.stdout) as out:
+        return _emit_rows(metrics.bench_depth(cfg), out)
 
 
 def _cmd_bench_size(args) -> int:
     cfg = _config(args)
-    return _emit_rows(metrics.bench_size(cfg), args.out)
+    with _open_out(args.out, sys.stdout) as out:
+        return _emit_rows(metrics.bench_size(cfg), out)
 
 
 def _cmd_bench_updates(args) -> int:
     cfg = _config(args, churn_ops=args.ops)
-    rows, receipts = metrics.bench_updates(cfg, collect_receipts=bool(args.receipts_out))
-    if args.receipts_out:
-        with open(args.receipts_out, "w") as fh:
-            fh.write(metrics.receipts_to_csv(receipts))
-    return _emit_rows(rows, args.out)
+    with _open_out(args.out, sys.stdout) as out, _open_out(args.receipts_out) as rec:
+        rows, receipts = metrics.bench_updates(cfg, collect_receipts=rec is not None)
+        if rec is not None:
+            rec.write(metrics.receipts_to_csv(receipts))
+        return _emit_rows(rows, out)
 
 
 def _cmd_demo(args) -> int:
-    try:
-        if args.op == "init":
-            params = (Params.unbuffered(args.alpha) if args.no_buffering
-                      else Params.of(args.alpha, args.eps, args.c_rho))
-            tree = Tree.empty(params, seed=args.seed)
-            tree.save(args.image)
-            print(f"created empty image {args.image}")
-            return 0
-        tree = Tree.load(args.image)
-        if args.op == "insert":
-            r = insert(tree, args.key[0])
-            tree.save(args.image)
-            print(f"inserted {args.key[0]}: n={tree.n} writes={r.writes} "
-                  f"reads={r.reads} m={r.m} m'={r.m_prime}")
-        elif args.op == "delete":
-            r = delete(tree, args.key[0])
-            tree.save(args.image)
-            print(f"deleted {args.key[0]}: n={tree.n} writes={r.writes} "
-                  f"reads={r.reads} m={r.m} m'={r.m_prime}")
-        elif args.op == "successor":
-            s = successor(tree, args.key[0])
-            print("none" if s is None else s)
-        elif args.op == "range":
-            for k in range_report(tree, args.key[0], args.key[1]):
-                print(k)
-        elif args.op == "check":
-            rep = check_invariants(tree)
-            print("ok" if rep.ok else "\n".join(rep.violations))
-            return 0 if rep.ok else 1
+    if args.op == "init":
+        params = (Params.unbuffered(args.alpha) if args.no_buffering
+                  else Params.of(args.alpha, args.eps, args.c_rho))
+        tree = Tree.empty(params, seed=args.seed)
+        tree.save(args.image)
+        print(f"created empty image {args.image}")
         return 0
-    except FileNotFoundError:
-        print(f"image not found: {args.image}", file=sys.stderr)
-        return 1
-    except RbstError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    tree = _load(args.image)
+    if args.op == "insert":
+        r = insert(tree, args.key[0])
+        tree.save(args.image)
+        print(f"inserted {args.key[0]}: n={tree.n} writes={r.writes} "
+              f"reads={r.reads} m={r.m} m'={r.m_prime}")
+    elif args.op == "delete":
+        r = delete(tree, args.key[0])
+        tree.save(args.image)
+        print(f"deleted {args.key[0]}: n={tree.n} writes={r.writes} "
+              f"reads={r.reads} m={r.m} m'={r.m_prime}")
+    elif args.op == "successor":
+        s = successor(tree, args.key[0])
+        print("none" if s is None else s)
+    elif args.op == "range":
+        for k in range_report(tree, args.key[0], args.key[1]):
+            print(k)
+    elif args.op == "check":
+        rep = check_invariants(tree)
+        print("ok" if rep.ok else "\n".join(rep.violations))
+        return 0 if rep.ok else 1
+    return 0
 
 
 def _cmd_dump(args) -> int:
-    try:
-        tree = Tree.load(args.image)
-    except FileNotFoundError:
-        print(f"image not found: {args.image}", file=sys.stderr)
-        return 1
+    tree = _load(args.image)
     p = tree.params
     print(f"alpha={p.alpha} rho={p.rho} "
           f"seed={tree.prio.seed_tag} n={tree.n} root={tree.root}")
@@ -211,7 +214,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except RbstError as exc:
+    except (RbstError, OSError) as exc:
+        # OSError: an --image, --out or --receipts-out path that cannot be used
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

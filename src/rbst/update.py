@@ -238,10 +238,15 @@ def _assemble(params: Params, keys: list[int], parent: int | None, depth: int):
 
 
 def _by_priority(prio, keys) -> list[int]:
-    """`keys` in ascending priority, ranked in one numpy call from `_NUMPY_FROM` keys on."""
+    """`keys` (ints or a uint64 array) as ints in ascending priority.
+
+    Ranked in one numpy call from `_NUMPY_FROM` keys on.
+    """
     if len(keys) < _NUMPY_FROM:
+        if isinstance(keys, np.ndarray):
+            keys = keys.tolist()
         return sorted(keys, key=prio.priority)
-    arr = np.array(keys, dtype=np.uint64)
+    arr = np.asarray(keys, dtype=np.uint64)
     return arr[np.lexsort((arr, prio.ranks(arr)))].tolist()
 
 

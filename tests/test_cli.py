@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from rbst import cli
 from rbst.cli import main
 
 
@@ -106,3 +107,49 @@ def test_demo_key_count_is_a_usage_error(tmp_path, capsys, argv):
     assert exc.value.code == 2
     assert "usage" in capsys.readouterr().err.lower()
     assert img.read_bytes() == before
+
+
+def _one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+@pytest.mark.parametrize("argv", [("demo", "init"), ("demo", "insert", "42"), ("dump",)],
+                         ids="-".join)
+def test_image_path_is_a_directory(tmp_path, capsys, argv):
+    cmd, *rest = argv
+    assert run_cli(cmd, "--image", str(tmp_path), *rest) == 1
+    assert "Is a directory" in _one_error_line(capsys)
+
+
+def test_demo_init_missing_directory(tmp_path, capsys):
+    assert run_cli("demo", "--image", str(tmp_path / "no" / "t.rbst"), "init") == 1
+    _one_error_line(capsys)
+
+
+def test_dump_missing_image(tmp_path, capsys):
+    assert run_cli("dump", "--image", str(tmp_path / "nope.rbst")) == 1
+    assert "not found" in _one_error_line(capsys)
+
+
+def _no_bench(*_args, **_kwargs):
+    raise AssertionError("the bench ran before its output path was checked")
+
+
+@pytest.mark.parametrize("cmd", ["bench-size", "bench-depth", "bench-updates"])
+def test_bench_out_missing_directory_fails_before_the_run(tmp_path, capsys, monkeypatch,
+                                                          cmd):
+    monkeypatch.setattr(cli.metrics, cmd.replace("-", "_"), _no_bench)
+    rc = run_cli(cmd, "--alpha", "2", "--n", "500", "--trials", "3", "--seed", "9",
+                 "--out", str(tmp_path / "missing" / "x.csv"))
+    assert rc == 1
+    assert "No such file or directory" in _one_error_line(capsys)
+
+
+def test_bench_updates_receipts_out_is_a_directory(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli.metrics, "bench_updates", _no_bench)
+    rc = run_cli("bench-updates", "--alpha", "2", "--n", "500", "--trials", "1",
+                 "--receipts-out", str(tmp_path))
+    assert rc == 1
+    assert "Is a directory" in _one_error_line(capsys)

@@ -4,11 +4,11 @@ import pytest
 from rbst import Params
 from rbst.errors import ConfigError
 from rbst.metrics import (
-    ExperimentConfig, bench_depth, bench_size, bench_updates, fast_build,
-    receipts_to_csv, rows_to_csv, sample_keys,
+    ExperimentConfig, _distinct_sorted, bench_depth, bench_size, bench_updates,
+    fast_build, receipts_to_csv, rows_to_csv, sample_keys,
 )
 from rbst.oracle import oracle_build
-from rbst.priority import ExplicitPriority, HashedPriority
+from rbst.priority import MASK64, ExplicitPriority, HashedPriority
 
 
 # (priority kind, rho, n) at alpha 4: no key, one key, one full block, and
@@ -58,6 +58,79 @@ def test_sample_keys_distinct_sorted():
     assert len(keys) == 5000
     assert len(np.unique(keys)) == 5000
     assert (np.diff(keys.astype(object)) > 0).all()
+
+
+def _sample_keys_by_unique(rng, n):
+    # the np.unique formulation of sample_keys, draw for draw
+    keys = np.unique(rng.integers(0, 1 << 63, size=n + max(16, n // 256), dtype=np.uint64))
+    while len(keys) < n:
+        extra = rng.integers(0, 1 << 63, size=n, dtype=np.uint64)
+        keys = np.unique(np.concatenate([keys, extra]))
+    return keys[:n]
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("n", [0, 1, 16, 5000])
+def test_sample_keys_matches_unique_reference(seed, n):
+    got = sample_keys(np.random.default_rng(seed), n)
+    want = _sample_keys_by_unique(np.random.default_rng(seed), n)
+    assert got.dtype == np.uint64
+    assert np.array_equal(got, want)
+
+
+class _TinyRange:
+    """A generator whose `integers` draws from [low, low + span): draws repeat."""
+
+    def __init__(self, seed, span):
+        self._rng = np.random.default_rng(seed)
+        self._span = span
+        self.calls = 0
+
+    def integers(self, low, high, size, dtype):
+        self.calls += 1
+        return self._rng.integers(low, low + self._span, size=size, dtype=dtype)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_sample_keys_refill_matches_unique_reference(seed):
+    # 56 draws from 48 values leave fewer than 40 distinct, so the refill runs
+    rng = _TinyRange(seed, 48)
+    got = sample_keys(rng, 40)
+    assert rng.calls > 1
+    want = _sample_keys_by_unique(_TinyRange(seed, 48), 40)
+    assert np.array_equal(got, want)
+    assert len(got) == 40
+
+
+@pytest.mark.parametrize("values", [[], [7], [7, 7], [9, 3], [5] * 6,
+                                    [MASK64, 3, 0, MASK64, 3, 1 << 63, 0, 2]],
+                         ids=["empty", "one", "two-equal", "two", "all-equal", "ends"])
+def test_distinct_sorted_matches_unique(values):
+    arr = np.array(values, dtype=np.uint64)
+    got = _distinct_sorted(arr)
+    assert got.dtype == np.uint64
+    assert np.array_equal(got, np.unique(arr))
+    assert np.array_equal(arr, np.array(values, dtype=np.uint64))  # input untouched
+
+
+@pytest.mark.parametrize("kind", ["hashed", "explicit"])
+@pytest.mark.parametrize("n", [0, 1, 2, 31, 32, 33, 300])
+@pytest.mark.parametrize("form", ["list", "array"])
+def test_fast_build_shuffled_duplicates_match_oracle(kind, n, form):
+    # any order, duplicates dropped: the tree of the distinct keys, on both
+    # sides of `_NUMPY_FROM` (32); rho 40 makes 33 keys a chain
+    rng = np.random.default_rng(1000 + n)
+    keys = sample_keys(rng, n)
+    given = np.concatenate([keys, keys[:max(1, n // 2)], keys[-1:]])
+    rng.shuffle(given)
+    if form == "list":
+        given = given.tolist()
+    prio = (HashedPriority(n) if kind == "hashed"
+            else ExplicitPriority.from_order(int(k) for k in rng.permutation(keys)))
+    for params in (Params(4, 1), Params(4, 40)):
+        tree = fast_build(given, prio, params)
+        assert tree.n == n
+        assert tree.image() == oracle_build(keys.tolist(), prio, params)
 
 
 def test_config_validation():

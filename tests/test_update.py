@@ -1,6 +1,7 @@
 import random
 from bisect import bisect_left
 
+import numpy as np
 import pytest
 
 import rbst.update as upd
@@ -380,9 +381,11 @@ def test_by_priority_matches_per_key_sort(prio, n):
     rng.shuffle(keys)
     if prio == "explicit":
         prio = ExplicitPriority.from_order(rng.sample(keys, n))
-    got = upd._by_priority(prio, keys)
-    assert got == sorted(keys, key=prio.priority)
-    assert all(type(k) is int for k in got)
+    want = sorted(keys, key=prio.priority)
+    for given in (keys, np.array(keys, dtype=np.uint64)):
+        got = upd._by_priority(prio, given)
+        assert got == want
+        assert all(type(k) is int for k in got)
 
 
 class _CountingPriority(HashedPriority):
