@@ -110,27 +110,6 @@ class Tree:
         return cls(store, Params(header.alpha, header.rho), HashedPriority(header.seed),
                    header.root, header.n)
 
-    # convenience delegates; the implementations live in their modules
-    def insert(self, key: int):
-        from .update import insert
-        return insert(self, key)
-
-    def delete(self, key: int):
-        from .update import delete
-        return delete(self, key)
-
-    def successor(self, q: int):
-        return successor(self, q)
-
-    def range_report(self, lo: int, hi: int):
-        return range_report(self, lo, hi)
-
-    def range_count(self, lo: int, hi: int) -> int:
-        return range_count(self, lo, hi)
-
-    def select_kth(self, k: int) -> int:
-        return select_kth(self, k)
-
 
 def active_separators(node: BlockNode, prio) -> list[int]:
     """The fanout-1 smallest-priority keys of the block, ascending by key."""
@@ -174,27 +153,18 @@ def successor(tree: Tree, q: int):
 def search_path_profile(tree: Tree, q: int) -> tuple[int, int]:
     """(primary, secondary) block visits of an unsuccessful search for q.
 
-    Primary blocks carry the full fan-out alpha+1; everything else,
-    including chain blocks, is secondary.
+    q must be unstored: then the blocks whose interval meets (q - 1, q + 1)
+    are exactly the root-to-leaf search path, and `scan_keys` reads them in
+    path order.  Primary blocks carry the full fan-out alpha+1; everything
+    else, including chain blocks, is secondary.
     """
-    store, prio = tree.store, tree.prio
-    full = tree.params.alpha + 1
-    primary = secondary = 0
-    cur = tree.root
-    while cur is not None:
-        node = store.read(cur)
-        if node.fanout == full:
-            primary += 1
-        else:
-            secondary += 1
-        if node.fanout <= 1:
-            child = node.children[0]
-        else:
-            seps = active_separators(node, prio)
-            child = node.children[bisect_right(seps, q)]
-        store.release(cur)
-        cur = child.label if child is not None else None
-    return primary, secondary
+    if tree.root is None:
+        return 0, 0
+    fanouts: list[int] = []
+    scan_keys(tree.store, tree.prio, tree.root, q - 1, q + 1,
+              on_block=lambda label, node: fanouts.append(node.fanout))
+    primary = fanouts.count(tree.params.alpha + 1)
+    return primary, len(fanouts) - primary
 
 
 def range_report(tree: Tree, lo: int, hi: int) -> list[int]:
@@ -305,8 +275,9 @@ def scan_keys(store: BlockStore, prio, root_label: int, lo: int, hi: int,
 
     on_key(key) runs for every stored key in (lo, hi) not in exclude, in
     pre-order and ascending within a block; on_block(label, node) runs once
-    per visited block.  A partial rebuild gathers its section's keys, and
-    `range_report` its output, with one call.
+    per visited block.  A partial rebuild gathers its section's keys,
+    `range_report` its output and `search_path_profile` its path, with one
+    call.
     """
     excl = set(exclude)
     stack = [root_label]

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import BlockNode
-from .core import Params, Tree, check_invariants, search_path_profile
+from .core import Params, Tree, check_invariants, range_report, search_path_profile
 from .errors import ConfigError
 from .priority import HashedPriority
 from .store import BlockStore
@@ -48,10 +48,17 @@ class ExperimentConfig:
     churn_ops: int = 100          # update operations per trial (update bench)
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
+        if not (self.alphas and self.eps_list and self.ns):
+            raise ConfigError("alphas, eps_list and ns must each be non-empty")
+        for name, least in (("trials", 1), ("searches", 1), ("ranges", 0), ("churn_ops", 1)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be >= {least}")
         if any(n <= 0 for n in self.ns):
             raise ConfigError("n values must be positive")
+        for eps in self.eps_list:
+            # the bounds use eps even when buffering is off
+            if not 0 < eps <= 0.5:
+                raise ConfigError(f"eps {eps} outside (0, 1/2]")
 
     def params_for(self, alpha: int, eps: float) -> Params:
         if self.no_buffering:
@@ -224,8 +231,6 @@ def bench_depth(cfg: ExperimentConfig) -> list[BoundRow]:
 def _range_read_constant(tree: Tree, keys: np.ndarray, rng, ranges: int,
                          eps: float) -> float:
     """Mean of reads / (1/eps + k/alpha + log_alpha n) over random ranges."""
-    from .core import range_report
-
     alpha, n = tree.params.alpha, tree.n
     consts = []
     for _ in range(ranges):

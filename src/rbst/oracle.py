@@ -164,54 +164,21 @@ def treap_isomorphic(a: TreapNode | None, b: TreapNode | None) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _count_blocks(keys: tuple[int, ...], ranks: tuple[int, ...], params: Params) -> tuple[int, int]:
-    """(blocks, full blocks) of the layout; avoids materialising nodes."""
-    alpha = params.alpha
-    rank_of = dict(zip(keys, ranks))
-
-    def count(subkeys: list[int]) -> tuple[int, int]:
-        n = len(subkeys)
-        if n == 0:
-            return 0, 0
-        if n <= alpha:
-            return 1, 1 if n == alpha else 0
-        d = fanout_bound(n, params)
-        if d <= 1:
-            q, r = divmod(n, alpha)
-            return q + (1 if r else 0), q
-        by_pi = sorted(subkeys, key=lambda k: rank_of[k])
-        seps = sorted(by_pi[: d - 1])
-        rest = sorted(by_pi[alpha:])
-        blocks, full = 1, 1
-        bounds = seps + [None]
-        i = 0
-        sec: list[int] = []
-        for key in rest:
-            while bounds[i] is not None and key > bounds[i]:
-                b, f = count(sec)
-                blocks, full, sec = blocks + b, full + f, []
-                i += 1
-            sec.append(key)
-        b, f = count(sec)
-        return blocks + b, full + f
-
-    return count(sorted(keys))
-
-
 def exact_expected_size(n: int, params: Params) -> tuple[Fraction, Fraction, Fraction]:
     """Exact (E[S], E[F], E[E]) over all n! permutations.
 
-    S counts blocks, F full blocks, E = S - F non-full blocks.
+    S counts blocks, F full blocks, E = S - F non-full blocks, each read off
+    the permutation's `oracle_blocks` layout.
     """
     if n > ENUMERATION_LIMIT:
         raise EnumerationLimitError(f"n={n} above enumeration limit {ENUMERATION_LIMIT}")
-    keys = tuple(range(1, n + 1))
+    keys = range(1, n + 1)
     total_s = total_f = 0
     count = 0
-    for ranks in permutations(range(1, n + 1)):
-        s, f = _count_blocks(keys, ranks, params)
-        total_s += s
-        total_f += f
+    for order in permutations(keys):
+        _, blocks = oracle_blocks(keys, ExplicitPriority.from_order(order), params)
+        total_s += len(blocks)
+        total_f += sum(1 for b in blocks.values() if len(b.keys) == params.alpha)
         count += 1
     return (
         Fraction(total_s, count),

@@ -153,3 +153,26 @@ def test_bench_updates_receipts_out_is_a_directory(tmp_path, capsys, monkeypatch
                  "--receipts-out", str(tmp_path))
     assert rc == 1
     assert "Is a directory" in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(("bench-depth", "--alpha", "2", "--n", "100", "--searches", "0"),
+                 id="depth-searches-0"),
+    pytest.param(("bench-depth", "--alpha", "2", "--n", "100", "--searches", "-3"),
+                 id="depth-searches-neg3"),
+    pytest.param(("bench-updates", "--alpha", "2", "--n", "100", "--ops", "0"),
+                 id="updates-ops-0"),
+    pytest.param(("bench-size", "--alpha", "", "--n", "100"), id="size-no-alpha"),
+    pytest.param(("bench-size", "--alpha", "2", "--n", ""), id="size-no-n"),
+    pytest.param(("bench-size", "--alpha", "2", "--n", "100", "--eps", ""), id="size-no-eps"),
+    pytest.param(("bench-size", "--alpha", "2", "--n", "100", "--eps", "0.6"),
+                 id="size-eps-0.6"),
+    pytest.param(("bench-size", "--alpha", "2", "--n", "100", "--no-buffering", "--eps", "5"),
+                 id="size-unbuffered-eps-5"),
+])
+def test_degenerate_bench_is_refused(capsys, monkeypatch, argv):
+    monkeypatch.setattr(cli.metrics, argv[0].replace("-", "_"), _no_bench)
+    assert run_cli(*argv, "--trials", "1") == 1
+    out, err = capsys.readouterr()
+    assert out == ""                         # not even a CSV header
+    assert err.startswith("error: ") and err.count("\n") == 1, err

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from bisect import bisect_right
 
 import pytest
 
@@ -7,11 +8,11 @@ from rbst import (
     Params, Tree, check_invariants, fanout_bound, range_count,
     range_report, select_kth, successor,
 )
-from rbst.core import NEG_INF, POS_INF, active_separators, scan_keys
+from rbst.core import NEG_INF, POS_INF, active_separators, scan_keys, search_path_profile
 from rbst.errors import ConfigError, InvalidRangeError, InvalidRankError
 from rbst.metrics import fast_build
 from rbst.oracle import oracle_tree
-from rbst.priority import ExplicitPriority, HashedPriority
+from rbst.priority import MASK64, ExplicitPriority, HashedPriority
 
 import numpy as np
 
@@ -240,3 +241,39 @@ def test_scan_reads_each_block_once_in_preorder(case):
         assert store.stats().cur_pinned == 0
         if (lo, hi) == (NEG_INF, POS_INF):
             assert sorted(visited) == sorted(store.blocks)
+
+
+def _search_path(store, prio, root, q):
+    """Labels of the root-to-leaf path of a search for q, by peek."""
+    path, label = [], root
+    while label is not None:
+        node = store.peek(label)
+        path.append(label)
+        if node.fanout <= 1:
+            child = node.children[0]
+        else:
+            child = node.children[bisect_right(active_separators(node, prio), q)]
+        label = child.label if child is not None else None
+    return path
+
+
+@pytest.mark.parametrize("case", range(24))
+def test_search_path_profile_counts_the_search_path(case):
+    # the grid of test_scan_reads_each_block_once_in_preorder; q is unstored:
+    # random, a stored key's neighbour, or an end of the key space
+    rng = random.Random(case + 300)
+    params = Params(case % 4 + 1, rng.choice([0, 1, 2, 4, 30]))
+    keys = rng.sample(range(1 << 20), rng.randrange(1, 300))
+    tree = oracle_tree(keys, HashedPriority(case), params)
+    store, full = tree.store, params.alpha + 1
+    stored = set(keys)
+    near = [k + d for k in rng.sample(keys, min(10, len(keys))) for d in (-1, 1)]
+    qs = [rng.randrange(1 << 20) for _ in range(10)] + near + [0, MASK64]
+    for q in [q for q in qs if q >= 0 and q not in stored]:
+        path = _search_path(store, tree.prio, tree.root, q)
+        primary = sum(1 for label in path if store.peek(label).fanout == full)
+        store.reset_stats()
+        assert search_path_profile(tree, q) == (primary, len(path) - primary)
+        assert store.stats().reads == len(path)
+        assert store.stats().peak_pinned == 1
+    assert search_path_profile(Tree.empty(params), 5) == (0, 0)

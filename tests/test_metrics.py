@@ -143,6 +143,29 @@ def test_config_validation():
         bench_depth(cfg)
 
 
+@pytest.mark.parametrize("change", [
+    pytest.param({"searches": 0}, id="searches-0"),
+    pytest.param({"searches": -3}, id="searches-neg3"),
+    pytest.param({"churn_ops": 0}, id="churn_ops-0"),
+    pytest.param({"ranges": -1}, id="ranges-neg1"),
+    pytest.param({"alphas": []}, id="no-alphas"),
+    pytest.param({"eps_list": []}, id="no-eps"),
+    pytest.param({"ns": []}, id="no-ns"),
+    pytest.param({"eps_list": [0.0]}, id="eps-0"),
+    pytest.param({"eps_list": [0.5, 0.6]}, id="eps-0.6"),
+    pytest.param({"eps_list": [float("nan")]}, id="eps-nan"),
+    pytest.param({"eps_list": [5.0], "no_buffering": True}, id="unbuffered-eps-5"),
+])
+def test_config_refuses_a_degenerate_bench(change):
+    with pytest.raises(ConfigError):
+        ExperimentConfig(**{"alphas": [2], "eps_list": [0.5], "ns": [100], **change})
+
+
+def test_config_accepts_the_smallest_bench():
+    ExperimentConfig(alphas=[2], eps_list=[0.5], ns=[1], trials=1, searches=1,
+                     ranges=0, churn_ops=1, no_buffering=True)
+
+
 def test_bench_size_rows_and_determinism():
     cfg = ExperimentConfig(alphas=[2], eps_list=[0.5], ns=[500], trials=3,
                            seed_base=9)
