@@ -65,6 +65,18 @@ class ExperimentConfig:
             return Params.unbuffered(alpha)
         return Params.of(alpha, eps, self.c_rho)
 
+    def grid(self) -> list[tuple[int, float, Params]]:
+        """(alpha, eps, params) of each configuration in run order, the whole
+        grid checked first, so a bad one is refused before any trial runs."""
+        grid = []
+        for alpha in self.alphas:
+            for eps in self.eps_list:
+                grid.append((alpha, eps, self.params_for(alpha, eps)))
+                low = [n for n in self.ns if n < alpha]
+                if low:
+                    raise ConfigError(f"n={low[0]} below alpha={alpha}")
+        return grid
+
 
 @dataclass
 class BoundRow:
@@ -177,54 +189,48 @@ def _agg(values: list[float]) -> tuple[float, float, float]:
 def bench_depth(cfg: ExperimentConfig) -> list[BoundRow]:
     """Unsuccessful-search block visits and range-report reads vs their bounds."""
     rows: list[BoundRow] = []
-    for alpha in cfg.alphas:
-        for eps in cfg.eps_list:
-            params = cfg.params_for(alpha, eps)
-            for n in cfg.ns:
-                if n < alpha:
-                    raise ConfigError(f"n={n} below alpha={alpha}")
-                prim_means, sec_means, range_consts = [], [], []
-                for trial in range(cfg.trials):
-                    seed = cfg.seed_base + trial
-                    rng = np.random.default_rng(seed)
-                    keys = sample_keys(rng, n)
-                    tree = fast_build(keys, HashedPriority(seed), params)
-                    key_set = set(keys.tolist())
-                    prim = sec = 0
-                    done = 0
-                    while done < cfg.searches:
-                        q = int(rng.integers(0, 1 << 63, dtype=np.uint64))
-                        if q in key_set:
-                            continue
-                        p, s = search_path_profile(tree, q)
-                        prim += p
-                        sec += s
-                        done += 1
-                    prim_means.append(prim / cfg.searches)
-                    sec_means.append(sec / cfg.searches)
-                    if cfg.ranges:
-                        range_consts.append(
-                            _range_read_constant(tree, keys, rng, cfg.ranges, eps)
-                        )
-                    _assert_clean(tree, f"bench_depth alpha={alpha} n={n} trial={trial}")
-                mean, std, ci = _agg(prim_means)
-                bound = 5 * math.log(n) / math.log(alpha) if alpha > 1 else float("inf")
+    for alpha, eps, params in cfg.grid():
+        for n in cfg.ns:
+            prim_means, sec_means, range_consts = [], [], []
+            for trial in range(cfg.trials):
+                seed = cfg.seed_base + trial
+                rng = np.random.default_rng(seed)
+                keys = sample_keys(rng, n)
+                tree = fast_build(keys, HashedPriority(seed), params)
+                key_set = set(keys.tolist())
+                prim = sec = 0
+                done = 0
+                while done < cfg.searches:
+                    q = int(rng.integers(0, 1 << 63, dtype=np.uint64))
+                    if q in key_set:
+                        continue
+                    p, s = search_path_profile(tree, q)
+                    prim += p
+                    sec += s
+                    done += 1
+                prim_means.append(prim / cfg.searches)
+                sec_means.append(sec / cfg.searches)
+                if cfg.ranges:
+                    range_consts.append(_range_read_constant(tree, keys, rng, cfg.ranges, eps))
+                _assert_clean(tree, f"bench_depth alpha={alpha} n={n} trial={trial}")
+            mean, std, ci = _agg(prim_means)
+            bound = 5 * math.log(n) / math.log(alpha) if alpha > 1 else float("inf")
+            rows.append(BoundRow("depth", alpha, eps, params.rho, n, cfg.trials,
+                                 "primary_visits", mean, std, bound,
+                                 mean <= bound, "upper", ci))
+            mean, std, ci = _agg(sec_means)
+            fitted_c = mean * eps
+            rows.append(BoundRow("depth", alpha, eps, params.rho, n, cfg.trials,
+                                 "secondary_visits", mean, std, fitted_c / eps,
+                                 True, "report", ci))
+            rows.append(BoundRow("depth", alpha, eps, params.rho, n, cfg.trials,
+                                 "secondary_visit_constant", fitted_c, 0.0,
+                                 fitted_c, True, "report", 0.0))
+            if range_consts:
+                mean, std, ci = _agg(range_consts)
                 rows.append(BoundRow("depth", alpha, eps, params.rho, n, cfg.trials,
-                                     "primary_visits", mean, std, bound,
-                                     mean <= bound, "upper", ci))
-                mean, std, ci = _agg(sec_means)
-                fitted_c = mean * eps
-                rows.append(BoundRow("depth", alpha, eps, params.rho, n, cfg.trials,
-                                     "secondary_visits", mean, std, fitted_c / eps,
-                                     True, "report", ci))
-                rows.append(BoundRow("depth", alpha, eps, params.rho, n, cfg.trials,
-                                     "secondary_visit_constant", fitted_c, 0.0,
-                                     fitted_c, True, "report", 0.0))
-                if range_consts:
-                    mean, std, ci = _agg(range_consts)
-                    rows.append(BoundRow("depth", alpha, eps, params.rho, n, cfg.trials,
-                                         "range_report_read_constant", mean, std,
-                                         mean, True, "report", ci))
+                                     "range_report_read_constant", mean, std,
+                                     mean, True, "report", ci))
     return rows
 
 
@@ -249,40 +255,36 @@ def _range_read_constant(tree: Tree, keys: np.ndarray, rng, ranges: int,
 def bench_size(cfg: ExperimentConfig) -> list[BoundRow]:
     """Non-full blocks, total blocks, and load factor against the size bounds."""
     rows: list[BoundRow] = []
-    for alpha in cfg.alphas:
-        for eps in cfg.eps_list:
-            params = cfg.params_for(alpha, eps)
-            for n in cfg.ns:
-                if n < alpha:
-                    raise ConfigError(f"n={n} below alpha={alpha}")
-                nonfull, total, load = [], [], []
-                for trial in range(cfg.trials):
-                    seed = cfg.seed_base + trial
-                    rng = np.random.default_rng(seed)
-                    keys = sample_keys(rng, n)
-                    tree = fast_build(keys, HashedPriority(seed), params)
-                    blocks = tree.store.blocks.values()
-                    s = len(tree.store.blocks)
-                    e = sum(1 for b in blocks if len(b.keys) < alpha)
-                    nonfull.append(e)
-                    total.append(s)
-                    load.append(n / (alpha * s))
-                    _assert_clean(tree, f"bench_size alpha={alpha} n={n} trial={trial}")
-                mean, std, ci = _agg(nonfull)
-                bound = max(eps * n / alpha, 1.0)
+    for alpha, eps, params in cfg.grid():
+        for n in cfg.ns:
+            nonfull, total, load = [], [], []
+            for trial in range(cfg.trials):
+                seed = cfg.seed_base + trial
+                rng = np.random.default_rng(seed)
+                keys = sample_keys(rng, n)
+                tree = fast_build(keys, HashedPriority(seed), params)
+                blocks = tree.store.blocks.values()
+                s = len(tree.store.blocks)
+                e = sum(1 for b in blocks if len(b.keys) < alpha)
+                nonfull.append(e)
+                total.append(s)
+                load.append(n / (alpha * s))
+                _assert_clean(tree, f"bench_size alpha={alpha} n={n} trial={trial}")
+            mean, std, ci = _agg(nonfull)
+            bound = max(eps * n / alpha, 1.0)
+            rows.append(BoundRow("size", alpha, eps, params.rho, n, cfg.trials,
+                                 "nonfull_blocks", mean, std, bound,
+                                 mean <= bound, "upper", ci))
+            mean, std, ci = _agg(total)
+            bound = (1 + eps) * n / alpha
+            rows.append(BoundRow("size", alpha, eps, params.rho, n, cfg.trials,
+                                 "total_blocks", mean, std, bound,
+                                 mean <= bound, "upper", ci))
+            if n >= alpha + params.beta:
+                mean, std, ci = _agg(load)
                 rows.append(BoundRow("size", alpha, eps, params.rho, n, cfg.trials,
-                                     "nonfull_blocks", mean, std, bound,
-                                     mean <= bound, "upper", ci))
-                mean, std, ci = _agg(total)
-                bound = (1 + eps) * n / alpha
-                rows.append(BoundRow("size", alpha, eps, params.rho, n, cfg.trials,
-                                     "total_blocks", mean, std, bound,
-                                     mean <= bound, "upper", ci))
-                if n >= alpha + params.beta:
-                    mean, std, ci = _agg(load)
-                    rows.append(BoundRow("size", alpha, eps, params.rho, n, cfg.trials,
-                                         "load_factor", mean, std, 1 - eps,
-                                         mean >= 1 - eps, "lower", ci))
+                                     "load_factor", mean, std, 1 - eps,
+                                     mean >= 1 - eps, "lower", ci))
     return rows
 
 
@@ -293,62 +295,58 @@ def bench_updates(cfg: ExperimentConfig, collect_receipts: bool = False):
     """
     rows: list[BoundRow] = []
     receipts: list[UpdateReceipt] = []
-    for alpha in cfg.alphas:
-        for eps in cfg.eps_list:
-            params = cfg.params_for(alpha, eps)
-            means_by_n: dict[int, float] = {}
-            for n in cfg.ns:
-                if n < alpha:
-                    raise ConfigError(f"n={n} below alpha={alpha}")
-                writes_means, audit_fails = [], 0
-                for trial in range(cfg.trials):
-                    seed = cfg.seed_base + trial
-                    rng = np.random.default_rng(seed)
-                    keys = sample_keys(rng, n + cfg.churn_ops)
-                    pool = keys.tolist()
-                    rng.shuffle(pool)
-                    present, fresh = pool[:n], pool[n:]
-                    tree = fast_build(np.array(present, dtype=np.uint64),
-                                      HashedPriority(seed), params)
-                    writes = 0
-                    for op_i in range(cfg.churn_ops):
-                        if op_i % 2 == 0 and fresh:
-                            k = fresh.pop()
-                            r = insert(tree, k)
-                            present.append(k)
-                        else:
-                            idx = int(rng.integers(0, len(present)))
-                            k = present.pop(idx)
-                            r = delete(tree, k)
-                            fresh.append(k)
-                        writes += r.writes
-                        if r.writes > 4 * (r.m + r.m_prime) + 4:
-                            audit_fails += 1
-                        if r.reads > 4 * (r.m_prime + r.d_prime * r.m) + 4:
-                            audit_fails += 1
-                        if collect_receipts:
-                            receipts.append(r)
-                    writes_means.append(writes / cfg.churn_ops)
-                    _assert_clean(tree, f"bench_updates alpha={alpha} n={n} trial={trial}")
-                mean, std, ci = _agg(writes_means)
-                means_by_n[n] = mean
-                expr = 1 / eps + math.log(n) / math.log(alpha) / alpha if alpha > 1 else 1 / eps
-                fitted_c = mean / expr
-                rows.append(BoundRow("updates", alpha, eps, params.rho, n, cfg.trials,
-                                     "writes_per_update", mean, std, fitted_c * expr,
-                                     True, "report", ci))
-                rows.append(BoundRow("updates", alpha, eps, params.rho, n, cfg.trials,
-                                     "update_write_constant", fitted_c, 0.0, fitted_c,
-                                     True, "report", 0.0))
-                rows.append(BoundRow("updates", alpha, eps, params.rho, n, cfg.trials,
-                                     "audit_violations", float(audit_fails), 0.0, 0.0,
-                                     audit_fails == 0, "upper", 0.0))
-            ns_sorted = sorted(means_by_n)
-            for lo_n, hi_n in zip(ns_sorted, ns_sorted[1:]):
-                ratio = means_by_n[hi_n] / means_by_n[lo_n]
-                rows.append(BoundRow("updates", alpha, eps, params.rho, hi_n, cfg.trials,
-                                     "writes_flatness_ratio", ratio, 0.0, 1.5,
-                                     ratio <= 1.5, "upper", 0.0))
+    for alpha, eps, params in cfg.grid():
+        means_by_n: dict[int, float] = {}
+        for n in cfg.ns:
+            writes_means, audit_fails = [], 0
+            for trial in range(cfg.trials):
+                seed = cfg.seed_base + trial
+                rng = np.random.default_rng(seed)
+                keys = sample_keys(rng, n + cfg.churn_ops)
+                pool = keys.tolist()
+                rng.shuffle(pool)
+                present, fresh = pool[:n], pool[n:]
+                tree = fast_build(np.array(present, dtype=np.uint64),
+                                  HashedPriority(seed), params)
+                writes = 0
+                for op_i in range(cfg.churn_ops):
+                    if op_i % 2 == 0 and fresh:
+                        k = fresh.pop()
+                        r = insert(tree, k)
+                        present.append(k)
+                    else:
+                        idx = int(rng.integers(0, len(present)))
+                        k = present.pop(idx)
+                        r = delete(tree, k)
+                        fresh.append(k)
+                    writes += r.writes
+                    if r.writes > 4 * (r.m + r.m_prime) + 4:
+                        audit_fails += 1
+                    if r.reads > 4 * (r.m_prime + r.d_prime * r.m) + 4:
+                        audit_fails += 1
+                    if collect_receipts:
+                        receipts.append(r)
+                writes_means.append(writes / cfg.churn_ops)
+                _assert_clean(tree, f"bench_updates alpha={alpha} n={n} trial={trial}")
+            mean, std, ci = _agg(writes_means)
+            means_by_n[n] = mean
+            expr = 1 / eps + math.log(n) / math.log(alpha) / alpha if alpha > 1 else 1 / eps
+            fitted_c = mean / expr
+            rows.append(BoundRow("updates", alpha, eps, params.rho, n, cfg.trials,
+                                 "writes_per_update", mean, std, fitted_c * expr,
+                                 True, "report", ci))
+            rows.append(BoundRow("updates", alpha, eps, params.rho, n, cfg.trials,
+                                 "update_write_constant", fitted_c, 0.0, fitted_c,
+                                 True, "report", 0.0))
+            rows.append(BoundRow("updates", alpha, eps, params.rho, n, cfg.trials,
+                                 "audit_violations", float(audit_fails), 0.0, 0.0,
+                                 audit_fails == 0, "upper", 0.0))
+        ns_sorted = sorted(means_by_n)
+        for lo_n, hi_n in zip(ns_sorted, ns_sorted[1:]):
+            ratio = means_by_n[hi_n] / means_by_n[lo_n]
+            rows.append(BoundRow("updates", alpha, eps, params.rho, hi_n, cfg.trials,
+                                 "writes_flatness_ratio", ratio, 0.0, 1.5,
+                                 ratio <= 1.5, "upper", 0.0))
     return rows, receipts
 
 

@@ -155,6 +155,16 @@ def test_bench_updates_receipts_out_is_a_directory(tmp_path, capsys, monkeypatch
     assert "Is a directory" in _one_error_line(capsys)
 
 
+@pytest.mark.parametrize("cmd", ["bench-size", "bench-depth", "bench-updates"])
+def test_bad_bench_grid_fails_before_the_run(tmp_path, capsys, monkeypatch, cmd):
+    monkeypatch.setattr(cli.metrics, "fast_build", _no_bench)
+    out = tmp_path / "x.csv"
+    rc = run_cli(cmd, "--alpha", "2,4", "--n", "20000,3", "--trials", "3", "--out", str(out))
+    assert rc == 1
+    assert "n=3 below alpha=4" in _one_error_line(capsys)
+    assert out.read_text() == ""
+
+
 @pytest.mark.parametrize("argv", [
     pytest.param(("bench-depth", "--alpha", "2", "--n", "100", "--searches", "0"),
                  id="depth-searches-0"),

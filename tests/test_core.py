@@ -1,6 +1,9 @@
 import dataclasses
+import hashlib
+import json
 import random
 from bisect import bisect_right
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +11,7 @@ from rbst import (
     Params, Tree, check_invariants, fanout_bound, range_count,
     range_report, select_kth, successor,
 )
+from rbst.blocks import BlockNode
 from rbst.core import NEG_INF, POS_INF, active_separators, scan_keys, search_path_profile
 from rbst.errors import ConfigError, InvalidRangeError, InvalidRankError
 from rbst.metrics import fast_build
@@ -182,6 +186,101 @@ def test_checker_rejects_wrong_depth_and_parent():
     child_label = next(l for l, b in tree.store.blocks.items() if b.parent is not None)
     tree.store.blocks[child_label].depth += 1
     assert not check_invariants(tree).ok
+
+
+@pytest.mark.parametrize("explicit", [False, True], ids=["hashed", "explicit"])
+@pytest.mark.parametrize("reachable", [True, False], ids=["reachable", "unreachable"])
+@pytest.mark.parametrize("key", [-1, 1 << 64], ids=["minus-1", "2^64"])
+def test_checker_reports_an_out_of_range_key(key, reachable, explicit):
+    rng = random.Random(5)
+    keys = rng.sample(range(10_000), 60)
+    prio = ExplicitPriority.from_order(keys) if explicit else HashedPriority(5)
+    tree = oracle_tree(keys, prio, Params(2, 1))
+    if reachable:
+        label = max(tree.store.blocks)
+        tree.store.blocks[label].keys[-1] = key
+        named = f"block {label}: key {key} outside u64 range"
+    else:
+        tree.store.blocks[key] = BlockNode([key], [None] * 3, None, 0, 1, key)
+        named = f"store: unreachable blocks [{key}]"
+    assert named in check_invariants(tree).violations
+
+
+# The checker's golden corpus: seeded oracle trees, each with one injected
+# fault, the second half with a wrong depth in the same block as well.  tests/checker_reports.sha256 pins, per case, the sha256 of the
+# JSON of its violation list (or "raise <Type>" where the checker raises),
+# so message text and order cannot drift unnoticed.
+CORPUS_FAULTS = ("key=-1", "key=2^64", "key=random", "reversed", "fanout-1",
+                 "weight+1", "depth+1", "wrong-parent", "dangling-child",
+                 "duplicated-child", "n+1", "unreachable")
+CORPUS_CASES = 600
+
+
+def _corrupted_tree(case: int) -> tuple[str, Tree]:
+    """Corpus case `case`: its name and its tree, one fault injected."""
+    rng = random.Random(case)
+    alpha = (1, 2, 3, 4, 8)[case % 5]
+    rho = (0, 1, 2, 4, 100)[case // 5 % 5]
+    fault = CORPUS_FAULTS[case // 25 % len(CORPUS_FAULTS)]
+    keys = rng.sample(range(1 << 30), rng.randrange(2 * alpha + 2, 12 * alpha + 3 * rho + 40))
+    explicit = rng.random() < 0.25
+    prio = ExplicitPriority.from_order(keys) if explicit else HashedPriority(case)
+    tree = oracle_tree(keys, prio, Params(alpha, rho))
+    blocks = tree.store.blocks
+    labels = sorted(blocks)
+    node = blocks[rng.choice(labels)]
+    parent = rng.choice([blocks[l] for l in labels if any(blocks[l].children)])
+    slot = rng.choice([i for i, c in enumerate(parent.children) if c is not None])
+    fresh = rng.randrange(1 << 30, 1 << 31)           # a label no block has
+    if fault.startswith("key="):
+        value = {"key=-1": -1, "key=2^64": 1 << 64}.get(fault, rng.randrange(1 << 30))
+        node.keys[rng.randrange(len(node.keys))] = value
+    elif fault == "reversed":
+        node = rng.choice([b for b in blocks.values() if len(b.keys) > 1] or [node])
+        node.keys.reverse()
+    elif fault == "fanout-1":
+        node.fanout -= 1
+    elif fault == "weight+1":
+        parent.children[slot].weight += 1
+    elif fault == "depth+1":
+        node.depth += 1
+    elif fault == "wrong-parent":
+        node.parent = rng.choice([l for l in labels if l != node.parent])
+    elif fault == "dangling-child":
+        parent.children[slot].label = fresh
+    elif fault == "duplicated-child":
+        other = rng.choice([i for i in range(alpha + 1) if i != slot])
+        parent.children[other] = parent.children[slot]
+    elif fault == "n+1":
+        tree.n += 1
+    elif rng.random() < 0.5:                          # unreachable: a stray block
+        blocks[fresh] = BlockNode([fresh], [None] * (alpha + 1), None, 0, 1, fresh)
+    else:                                             # unreachable: a cut-off subtree
+        parent.children[slot] = None
+    if case >= CORPUS_CASES // 2:                     # a second fault, in the same block
+        node.depth += 1
+    kind = "explicit" if explicit else "hashed"
+    return f"{case} a={alpha} rho={rho} {fault} {kind}", tree
+
+
+def _report_digest(tree: Tree) -> str:
+    try:
+        violations = check_invariants(tree).violations
+    except Exception as exc:                          # pinned like a report
+        return f"raise {type(exc).__name__}"
+    return hashlib.sha256(json.dumps(violations).encode()).hexdigest()
+
+
+def test_checker_reports_match_the_golden_corpus():
+    golden = dict(line.split(" ", 1) for line in
+                  (Path(__file__).parent / "checker_reports.sha256").read_text().splitlines())
+    assert len(golden) == CORPUS_CASES
+    changed = []
+    for case in range(CORPUS_CASES):
+        name, tree = _corrupted_tree(case)
+        if _report_digest(tree) != golden[str(case)]:
+            changed.append(name)
+    assert not changed, f"{len(changed)} reports changed, first: {changed[:5]}"
 
 
 def test_scan_matches_fast_build_key_set():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rbst import Params
+from rbst import Params, metrics
 from rbst.errors import ConfigError
 from rbst.metrics import (
     ExperimentConfig, _distinct_sorted, bench_depth, bench_size, bench_updates,
@@ -159,6 +159,24 @@ def test_config_validation():
 def test_config_refuses_a_degenerate_bench(change):
     with pytest.raises(ConfigError):
         ExperimentConfig(**{"alphas": [2], "eps_list": [0.5], "ns": [100], **change})
+
+
+def _no_build(*_args, **_kwargs):
+    raise AssertionError("a trial ran before the grid was checked")
+
+
+@pytest.mark.parametrize("bench", [bench_depth, bench_size, bench_updates])
+def test_bad_grid_is_refused_before_the_first_trial(monkeypatch, bench):
+    # the grid's last configuration is the bad one
+    monkeypatch.setattr(metrics, "fast_build", _no_build)
+    cfg = ExperimentConfig(alphas=[2, 4], eps_list=[0.5], ns=[20000, 3], trials=3)
+    with pytest.raises(ConfigError, match="n=3 below alpha=4"):
+        bench(cfg)
+
+
+def test_grid_is_the_run_order():
+    cfg = ExperimentConfig(alphas=[4, 2], eps_list=[0.5, 0.25], ns=[9, 4], c_rho=1)
+    assert cfg.grid() == [(a, e, Params.of(a, e, 1)) for a in (4, 2) for e in (0.5, 0.25)]
 
 
 def test_config_accepts_the_smallest_bench():
