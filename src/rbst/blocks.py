@@ -19,43 +19,30 @@ the block's array) is the map key, not part of the record.
 from __future__ import annotations
 
 import struct
+from dataclasses import dataclass
+from functools import cache
 from operator import lt
 
 from .errors import FormatError, InvalidBlockError
+from .priority import MASK64
 
-MASK64 = (1 << 64) - 1
 
-
+@dataclass(slots=True)
 class ChildRef:
     """Child slot payload: label of the child block plus its subtree key count."""
 
-    __slots__ = ("label", "weight")
-
-    def __init__(self, label: int, weight: int):
-        self.label = label
-        self.weight = weight
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ChildRef)
-            and self.label == other.label
-            and self.weight == other.weight
-        )
-
-    def __repr__(self):
-        return f"ChildRef({self.label}, {self.weight})"
+    label: int
+    weight: int
 
 
+@dataclass(slots=True, eq=False)      # blocks compare by identity
 class BlockNode:
-    __slots__ = ("keys", "children", "parent", "depth", "fanout", "label")
-
-    def __init__(self, keys, children, parent, depth, fanout, label):
-        self.keys = keys              # sorted ascending
-        self.children = children      # exactly alpha+1 slots, ChildRef or None
-        self.parent = parent          # parent label or None
-        self.depth = depth
-        self.fanout = fanout          # stored fan-out of this subtree
-        self.label = label            # minimum-priority key of `keys`
+    keys: list[int]               # sorted ascending
+    children: list                # exactly alpha+1 slots, ChildRef or None
+    parent: int | None            # parent label or None
+    depth: int
+    fanout: int                   # stored fan-out of this subtree
+    label: int                    # minimum-priority key of `keys`
 
     def copy(self) -> "BlockNode":
         return BlockNode(
@@ -86,18 +73,12 @@ class BlockNode:
 
 
 def record_size(alpha: int) -> int:
-    return 17 + 8 * alpha + 17 * (alpha + 1)
+    return _record_struct(alpha).size
 
 
-_FMT_CACHE: dict[int, struct.Struct] = {}
-
-
+@cache
 def _record_struct(alpha: int) -> struct.Struct:
-    st = _FMT_CACHE.get(alpha)
-    if st is None:
-        st = struct.Struct("<IHHBQ" + "Q" * alpha + "BQQ" * (alpha + 1))
-        _FMT_CACHE[alpha] = st
-    return st
+    return struct.Struct("<IHHBQ" + "Q" * alpha + "BQQ" * (alpha + 1))
 
 
 def pack_record(node: BlockNode, alpha: int) -> bytes:

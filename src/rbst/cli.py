@@ -12,7 +12,7 @@ import contextlib
 import sys
 
 from . import metrics
-from .core import Params, Tree, check_invariants, range_report, successor
+from .core import C_RHO, Params, Tree, check_invariants, range_report, successor
 from .errors import RbstError
 from .selfcheck import run_verification
 from .update import delete, insert
@@ -43,7 +43,7 @@ def _add_bench_flags(p: argparse.ArgumentParser) -> None:
                    help="block array size(s), comma-separated")
     p.add_argument("--eps", type=_float_list, default=[0.5],
                    help="tuning parameter(s) in (0, 1/2]")
-    p.add_argument("--c-rho", type=int, default=108, dest="c_rho")
+    p.add_argument("--c-rho", type=int, default=C_RHO, dest="c_rho")
     p.add_argument("--n", type=_int_list, required=True, help="key count(s)")
     p.add_argument("--trials", type=int, default=30)
     p.add_argument("--seed", type=int, default=0)
@@ -197,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--image", required=True)
     p.add_argument("--alpha", type=int, default=4)
     p.add_argument("--eps", type=float, default=0.5)
-    p.add_argument("--c-rho", type=int, default=108, dest="c_rho")
+    p.add_argument("--c-rho", type=int, default=C_RHO, dest="c_rho")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--no-buffering", action="store_true", dest="no_buffering")
     p.add_argument("op", choices=_DEMO_KEYS)

@@ -21,13 +21,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import MASK64, BlockNode
+from .blocks import BlockNode
 from .errors import ConfigError, InvalidRangeError, InvalidRankError, RbstError
-from .priority import HashedPriority
+from .priority import MASK64, HashedPriority
 from .store import ALPHA_MAX, RHO_MAX, BlockStore, ImageHeader, parse_image
 
 NEG_INF = -1
 POS_INF = 1 << 64
+# the analysis constant in rho = ceil(c_rho * alpha / eps)
+C_RHO = 108
 
 
 @dataclass(frozen=True)
@@ -48,7 +50,7 @@ class Params:
             raise ConfigError(f"rho {self.rho} outside 0..{RHO_MAX}")
 
     @classmethod
-    def of(cls, alpha: int, eps: float, c_rho: int = 108) -> "Params":
+    def of(cls, alpha: int, eps: float, c_rho: int = C_RHO) -> "Params":
         """Buffered parameters with rho = ceil(c_rho * alpha / eps)."""
         if not 0 < eps <= 0.5:
             raise ConfigError(f"eps {eps} outside (0, 1/2]")
@@ -239,16 +241,15 @@ def select_kth(tree: Tree, k: int) -> int:
             keys.sort()
             return keys[k - 1]
         seps = active_separators(node, prio)
-        inactive = [key for key in node.keys if key not in seps]
-        bounds = [NEG_INF] + seps + [POS_INF]
+        # the inactive keys and the extras, each slot's share cut out by its separator
+        loose = sorted([key for key in node.keys if key not in seps] + extras)
         store.release(label)
-        acc = 0
+        acc = start = 0
         for i in range(len(seps) + 1):
-            child, slo, shi = node.children[i], bounds[i], bounds[i + 1]
-            here = sorted(
-                [key for key in inactive if slo < key < shi]
-                + [key for key in extras if slo < key < shi]
-            )
+            child = node.children[i]
+            end = bisect_left(loose, seps[i]) if i < len(seps) else len(loose)
+            here = loose[start:end]
+            start = end
             total = (child.weight if child is not None else 0) + len(here)
             if k <= acc + total:
                 if child is None:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import BlockNode
-from .core import Params, Tree, check_invariants, range_report, search_path_profile
+from .core import C_RHO, Params, Tree, check_invariants, range_report, search_path_profile
 from .errors import ConfigError
 from .priority import HashedPriority
 from .store import BlockStore
@@ -41,7 +41,7 @@ class ExperimentConfig:
     ns: list[int]
     trials: int = 30
     seed_base: int = 0
-    c_rho: int = 108
+    c_rho: int = C_RHO
     no_buffering: bool = False
     searches: int = 1000          # unsuccessful searches per trial (depth bench)
     ranges: int = 100             # range queries per trial (depth bench)
@@ -90,9 +90,15 @@ class BoundRow:
     mean: float
     stddev: float
     bound: float
-    passed: bool
-    kind: str = "upper"           # upper | lower | report (not serialized)
-    half_ci: float = 0.0          # 95% CI half-width (printed, not serialized)
+    kind: str                     # upper | lower | report (not serialized)
+    half_ci: float                # 95% CI half-width (printed, not serialized)
+
+    @property
+    def passed(self) -> bool:
+        # a report row is a measured constant, not a claim: it always passes
+        if self.kind == "upper":
+            return self.mean <= self.bound
+        return self.kind == "report" or self.mean >= self.bound
 
 
 def rows_to_csv(rows: list[BoundRow]) -> str:
@@ -181,6 +187,14 @@ def _agg(values: list[float]) -> tuple[float, float, float]:
     return mean, std, half_ci
 
 
+def _row(cfg: ExperimentConfig, experiment: str, eps: float, params: Params, n: int,
+         metric: str, values: list[float], bound: float, kind: str) -> BoundRow:
+    """One row over the per-trial `values`; a single value is a constant (stddev 0)."""
+    mean, std, half_ci = _agg(values)
+    return BoundRow(experiment, params.alpha, eps, params.rho, n, cfg.trials, metric,
+                    mean, std, bound, kind, half_ci)
+
+
 # ---------------------------------------------------------------------------
 # benches
 # ---------------------------------------------------------------------------
@@ -213,24 +227,17 @@ def bench_depth(cfg: ExperimentConfig) -> list[BoundRow]:
                 if cfg.ranges:
                     range_consts.append(_range_read_constant(tree, keys, rng, cfg.ranges, eps))
                 _assert_clean(tree, f"bench_depth alpha={alpha} n={n} trial={trial}")
-            mean, std, ci = _agg(prim_means)
             bound = 5 * math.log(n) / math.log(alpha) if alpha > 1 else float("inf")
-            rows.append(BoundRow("depth", alpha, eps, params.rho, n, cfg.trials,
-                                 "primary_visits", mean, std, bound,
-                                 mean <= bound, "upper", ci))
-            mean, std, ci = _agg(sec_means)
-            fitted_c = mean * eps
-            rows.append(BoundRow("depth", alpha, eps, params.rho, n, cfg.trials,
-                                 "secondary_visits", mean, std, fitted_c / eps,
-                                 True, "report", ci))
-            rows.append(BoundRow("depth", alpha, eps, params.rho, n, cfg.trials,
-                                 "secondary_visit_constant", fitted_c, 0.0,
-                                 fitted_c, True, "report", 0.0))
+            rows.append(_row(cfg, "depth", eps, params, n, "primary_visits",
+                             prim_means, bound, "upper"))
+            fitted_c = _agg(sec_means)[0] * eps
+            rows.append(_row(cfg, "depth", eps, params, n, "secondary_visits",
+                             sec_means, fitted_c / eps, "report"))
+            rows.append(_row(cfg, "depth", eps, params, n, "secondary_visit_constant",
+                             [fitted_c], fitted_c, "report"))
             if range_consts:
-                mean, std, ci = _agg(range_consts)
-                rows.append(BoundRow("depth", alpha, eps, params.rho, n, cfg.trials,
-                                     "range_report_read_constant", mean, std,
-                                     mean, True, "report", ci))
+                rows.append(_row(cfg, "depth", eps, params, n, "range_report_read_constant",
+                                 range_consts, _agg(range_consts)[0], "report"))
     return rows
 
 
@@ -270,21 +277,13 @@ def bench_size(cfg: ExperimentConfig) -> list[BoundRow]:
                 total.append(s)
                 load.append(n / (alpha * s))
                 _assert_clean(tree, f"bench_size alpha={alpha} n={n} trial={trial}")
-            mean, std, ci = _agg(nonfull)
-            bound = max(eps * n / alpha, 1.0)
-            rows.append(BoundRow("size", alpha, eps, params.rho, n, cfg.trials,
-                                 "nonfull_blocks", mean, std, bound,
-                                 mean <= bound, "upper", ci))
-            mean, std, ci = _agg(total)
-            bound = (1 + eps) * n / alpha
-            rows.append(BoundRow("size", alpha, eps, params.rho, n, cfg.trials,
-                                 "total_blocks", mean, std, bound,
-                                 mean <= bound, "upper", ci))
+            rows.append(_row(cfg, "size", eps, params, n, "nonfull_blocks",
+                             nonfull, max(eps * n / alpha, 1.0), "upper"))
+            rows.append(_row(cfg, "size", eps, params, n, "total_blocks",
+                             total, (1 + eps) * n / alpha, "upper"))
             if n >= alpha + params.beta:
-                mean, std, ci = _agg(load)
-                rows.append(BoundRow("size", alpha, eps, params.rho, n, cfg.trials,
-                                     "load_factor", mean, std, 1 - eps,
-                                     mean >= 1 - eps, "lower", ci))
+                rows.append(_row(cfg, "size", eps, params, n, "load_factor",
+                                 load, 1 - eps, "lower"))
     return rows
 
 
@@ -328,30 +327,25 @@ def bench_updates(cfg: ExperimentConfig, collect_receipts: bool = False):
                         receipts.append(r)
                 writes_means.append(writes / cfg.churn_ops)
                 _assert_clean(tree, f"bench_updates alpha={alpha} n={n} trial={trial}")
-            mean, std, ci = _agg(writes_means)
+            mean = _agg(writes_means)[0]
             means_by_n[n] = mean
             expr = 1 / eps + math.log(n) / math.log(alpha) / alpha if alpha > 1 else 1 / eps
             fitted_c = mean / expr
-            rows.append(BoundRow("updates", alpha, eps, params.rho, n, cfg.trials,
-                                 "writes_per_update", mean, std, fitted_c * expr,
-                                 True, "report", ci))
-            rows.append(BoundRow("updates", alpha, eps, params.rho, n, cfg.trials,
-                                 "update_write_constant", fitted_c, 0.0, fitted_c,
-                                 True, "report", 0.0))
-            rows.append(BoundRow("updates", alpha, eps, params.rho, n, cfg.trials,
-                                 "audit_violations", float(audit_fails), 0.0, 0.0,
-                                 audit_fails == 0, "upper", 0.0))
+            rows.append(_row(cfg, "updates", eps, params, n, "writes_per_update",
+                             writes_means, fitted_c * expr, "report"))
+            rows.append(_row(cfg, "updates", eps, params, n, "update_write_constant",
+                             [fitted_c], fitted_c, "report"))
+            rows.append(_row(cfg, "updates", eps, params, n, "audit_violations",
+                             [audit_fails], 0.0, "upper"))
         ns_sorted = sorted(means_by_n)
         for lo_n, hi_n in zip(ns_sorted, ns_sorted[1:]):
-            ratio = means_by_n[hi_n] / means_by_n[lo_n]
-            rows.append(BoundRow("updates", alpha, eps, params.rho, hi_n, cfg.trials,
-                                 "writes_flatness_ratio", ratio, 0.0, 1.5,
-                                 ratio <= 1.5, "upper", 0.0))
+            rows.append(_row(cfg, "updates", eps, params, hi_n, "writes_flatness_ratio",
+                             [means_by_n[hi_n] / means_by_n[lo_n]], 1.5, "upper"))
     return rows, receipts
 
 
 def receipts_to_csv(receipts: list[UpdateReceipt]) -> str:
     out = [",".join(RECEIPT_COLUMNS)]
     for r in receipts:
-        out.append(f"{r.m},{r.m_prime},{r.reads},{r.writes},{r.d_prime}")
+        out.append(",".join(str(getattr(r, name)) for name in RECEIPT_COLUMNS))
     return "\n".join(out) + "\n"

@@ -48,9 +48,9 @@ from .core import (
     NEG_INF, POS_INF, Params, Tree, active_separators, fanout_bound, scan_keys, successor,
 )
 from .errors import ConfigError, DuplicateKeyError, MissingKeyError
+from .priority import MASK64
 from .store import AuxHandle
 
-MASK64 = (1 << 64) - 1
 # fewer keys rank faster by hashing each in Python than by one numpy call
 _NUMPY_FROM = 32   # the two paths cross at 24-32 keys on a 2-vCPU x86 host
 
@@ -321,25 +321,17 @@ def _old_sections(node: BlockNode, prio, lo: int, hi: int):
     ]
 
 
-def _new_bounds(prio, new_arr: list[int], new_fanout: int, lo: int, hi: int) -> list[int]:
-    if new_fanout <= 1 or len(new_arr) == 0:
-        return [lo, hi]
-    take = min(new_fanout - 1, len(new_arr))
-    seps = sorted(sorted(new_arr, key=prio.priority)[:take])
-    return [lo] + seps + [hi]
-
-
 def _diff_sections(ctx: _Ctx, node: BlockNode, lo: int, hi: int,
                    new_arr: list[int], new_fanout: int,
                    adds: list[int], removes: list[int]) -> list[PlanSection]:
-    """Map the old partition onto the new one.
+    """Map the old partition onto the one cut by new_arr's new_fanout - 1 first keys.
 
     A new section is reused when exactly one non-empty old section
     overlaps it, that section's interval is contained in the new one, and
     no key moves in or out; everything else is scheduled for rebuilding.
     """
     old = _old_sections(node, ctx.prio, lo, hi)
-    bounds = _new_bounds(ctx.prio, new_arr, new_fanout, lo, hi)
+    bounds = [lo] + sorted(new_arr[:new_fanout - 1]) + [hi]
     out: list[PlanSection] = []
     for j in range(len(bounds) - 1):
         a, b = bounds[j], bounds[j + 1]
@@ -374,11 +366,10 @@ def _run_anchor(ctx: _Ctx, node: BlockNode, lo: int, hi: int, n_new: int,
     """Rebuild around one anchor block.
 
     Returns (slot, child_ref, sec_lo, sec_hi) when the update continues
-    deeper, else None.  new_arr is the anchor's array after the update;
-    adds are keys pushed down into sections, removes keys leaving them;
-    key_below is the update key when it is not part of new_arr.
+    deeper, else None.  new_arr is the anchor's new array in ascending
+    priority; adds are keys pushed down into sections, removes keys leaving
+    them; key_below is the update key when it is not part of new_arr.
     """
-    prio = ctx.prio
     alpha = ctx.alpha
     if not new_arr:
         ctx.relabels[node.label] = None
@@ -386,7 +377,7 @@ def _run_anchor(ctx: _Ctx, node: BlockNode, lo: int, hi: int, n_new: int,
         ctx.commit_site()
         return None
     d_new = fanout_bound(n_new, ctx.params)
-    label_new = min(new_arr, key=prio.priority)
+    label_new = new_arr[0]
     sections = _diff_sections(ctx, node, lo, hi, new_arr, d_new, adds, removes)
     continue_into = None
     if key_below is not None:
@@ -513,7 +504,8 @@ def _classify(tree: Tree, node: BlockNode, n_sub: int, key: int, pi_x, op: str):
     None means the block keeps its array and fan-out and the descent
     passes it.  Otherwise (case, new_arr, adds, removes, key_below): a
     list case hands the block to the chain pass, any other case makes it
-    the anchor that `_run_anchor` rebuilds with these arguments.
+    the anchor that `_run_anchor` rebuilds with these arguments.  new_arr
+    is ranked here once, in ascending priority.
     """
     prio, params = tree.prio, tree.params
     d_old = node.fanout
@@ -522,15 +514,15 @@ def _classify(tree: Tree, node: BlockNode, n_sub: int, key: int, pi_x, op: str):
         if d_old <= 1 and d_new <= 1:
             return CASE_LIST_INSERT, [], [], [], key
         if n_sub < params.alpha or pi_x < max(map(prio.priority, node.keys)):
-            y = max(node.keys, key=prio.priority) if n_sub >= params.alpha else None
-            pushed = [] if y is None else [y]
-            new_arr = [k for k in node.keys if k != y] + [key]
-            # the key is never an interval end, so membership tests the separators
-            active = key in _new_bounds(prio, new_arr, d_new, NEG_INF, POS_INF)
+            new_arr = _by_priority(prio, node.keys + [key])
+            # a full array pushes its maximum-priority key down
+            pushed = [new_arr.pop()] if n_sub >= params.alpha else []
+            # the key is active when it ranks among the d_new - 1 separators
+            active = key in new_arr[:d_new - 1]
             case = CASE_IN_ARRAY_ACTIVE if active else CASE_IN_ARRAY_INACTIVE
             return case, new_arr, pushed, [], None
         if d_new > d_old:
-            return CASE_FANOUT_INCREASE, list(node.keys), [], [], key
+            return CASE_FANOUT_INCREASE, _by_priority(prio, node.keys), [], [], key
         return None
     d_new = fanout_bound(n_sub - 1, params)
     if d_old <= 1:
@@ -538,10 +530,10 @@ def _classify(tree: Tree, node: BlockNode, n_sub: int, key: int, pi_x, op: str):
     if key in node.keys:
         child_labels = [c.label for c in node.children if c is not None]
         pulled = [min(child_labels, key=prio.priority)] if child_labels else []
-        new_arr = [k for k in node.keys if k != key] + pulled
+        new_arr = _by_priority(prio, [k for k in node.keys if k != key] + pulled)
         return CASE_IN_ARRAY_DELETE, new_arr, [], pulled, None
     if d_new < d_old:
-        return CASE_FANOUT_DECREASE, list(node.keys), [], [], key
+        return CASE_FANOUT_DECREASE, _by_priority(prio, node.keys), [], [], key
     return None
 
 

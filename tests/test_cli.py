@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -186,3 +187,47 @@ def test_degenerate_bench_is_refused(capsys, monkeypatch, argv):
     out, err = capsys.readouterr()
     assert out == ""                         # not even a CSV header
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+# (exit code, sha256[:16] of the --out CSV, of the --receipts-out CSV (None
+# for a bench without receipts), of stderr): a refactor keeps every byte
+GOLDEN_BENCHES = {
+    "bench-size --alpha 2,4 --eps 0.5,0.25 --n 300,1000 --trials 2 --seed 5":
+        (0, "a84f2ed8bd397c12", None, "a89714d8ca4bef9d"),
+    "bench-size --alpha 3 --n 40,500 --trials 3 --seed 9 --no-buffering":
+        (1, "8f93f7776bb40da2", None, "24b816a0f8b21c36"),
+    "bench-size --alpha 1,5 --eps 0.1 --c-rho 2 --n 50,400 --trials 3 --seed 1":
+        (0, "96b0c7c0d09be66f", None, "03745ea7379a0a19"),
+    "bench-depth --alpha 2,4 --n 2000 --trials 2 --searches 200 --seed 3":
+        (0, "8afa74a3a7675ea3", None, "1fd3dee187bd751c"),
+    "bench-depth --alpha 3 --eps 0.3 --c-rho 1 --n 800 --trials 2 --searches 100 --seed 4"
+    " --no-buffering":
+        (0, "087a496e744af389", None, "6d8b14482abf227e"),
+    "bench-updates --alpha 4 --c-rho 2 --n 600 --trials 1 --ops 100 --seed 0":
+        (0, "93b5efbdd1021699", "0f41ea6d280abfc2", "db355bb7e2c9b117"),
+    "bench-updates --alpha 2,3 --eps 0.5,0.25 --c-rho 1 --n 200,400 --trials 2 --ops 60"
+    " --seed 11":
+        (0, "8df7c604956d4142", "c38ea6eb308e5bee", "5a8485f9bebb9983"),
+    "bench-updates --alpha 3 --n 300 --trials 2 --ops 50 --seed 2 --no-buffering":
+        (0, "355d4fa65facd01c", "54551d56df46d7e6", "02d018a4cfa21b08"),
+    "bench-updates --alpha 16 --n 1500 --trials 1 --ops 40 --seed 6":
+        (0, "e5424bf9ed817b66", "61e66f0659a3cbfe", "2563e591d11a123c"),
+}
+
+
+@pytest.mark.parametrize("argv", GOLDEN_BENCHES)
+def test_bench_outputs_match_the_golden_digests(tmp_path, capsys, argv):
+    # bench CSVs, receipts and the stderr summary stay byte-identical across
+    # refactors: buffered and unbuffered, c_rho 1, 2 and 108, a failing row
+    def digest(data: bytes) -> str:
+        return hashlib.sha256(data).hexdigest()[:16]
+
+    out, rec = tmp_path / "o.csv", tmp_path / "r.csv"
+    args = argv.split() + ["--out", str(out)]
+    if args[0] == "bench-updates":
+        args += ["--receipts-out", str(rec)]
+    rc = run_cli(*args)
+    err = capsys.readouterr().err
+    got = (rc, digest(out.read_bytes()), digest(rec.read_bytes()) if rec.exists() else None,
+           digest(err.encode()))
+    assert got == GOLDEN_BENCHES[argv]

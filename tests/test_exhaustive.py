@@ -1,0 +1,211 @@
+"""Every small state, every transition: an exhaustive update check.
+
+For a universe of U keys, every priority order (`ExplicitPriority.from_order`),
+every subset and every key: the legal toggle (insert the key if absent,
+delete it if present) must leave the image of a fresh `oracle_build` of the
+new set, and the refused opposite must change nothing.  The same loop gives
+exact expectations under a uniform priority order: mean reads, writes,
+staged and freed blocks per (alpha, rho, op, set size), frozen below so an
+I/O change shows as an exact diff of the table.
+"""
+
+from fractions import Fraction
+from itertools import permutations
+
+import pytest
+
+from rbst import Params, check_invariants, delete, insert
+from rbst.errors import DuplicateKeyError, MissingKeyError
+from rbst.oracle import oracle_build, oracle_tree
+from rbst.priority import ExplicitPriority
+
+GRID = [(a, r) for a in (1, 2, 3) for r in (0, 1, 2)]
+
+
+def _toggle_all(universe: list[int], params: Params) -> dict:
+    """(op, set size) -> (mean reads, writes, staged, freed) over every transition.
+
+    Checks each transition on the way: image, checker, aux, pins, criterion
+    7's receipt contract, and that the refused opposite changes nothing.
+    """
+    sums: dict[tuple[str, int], list[int]] = {}
+    for order in permutations(universe):
+        prio = ExplicitPriority.from_order(order)
+        for mask in range(1 << len(universe)):
+            keys = [k for i, k in enumerate(universe) if mask >> i & 1]
+            for key in universe:
+                tree = oracle_tree(keys, prio, params)
+                where = (params, order, keys, key)
+                if key in keys:
+                    op, legal, refused, err = "delete", delete, insert, DuplicateKeyError
+                    new = [k for k in keys if k != key]
+                else:
+                    op, legal, refused, err = "insert", insert, delete, MissingKeyError
+                    new = keys + [key]
+                img, writes = tree.image(), tree.store.stats().writes
+                with pytest.raises(err):
+                    refused(tree, key)
+                assert tree.image() == img and tree.store.stats().writes == writes, where
+                r = legal(tree, key)
+                assert tree.image() == oracle_build(new, prio, params), where
+                assert check_invariants(tree).ok, where
+                assert not tree.store.aux and tree.store.stats().cur_pinned == 0, where
+                assert r.writes <= 4 * (r.m + r.m_prime) + 4, (where, r)
+                assert r.reads <= 4 * (r.m_prime + r.d_prime * r.m) + 4, (where, r)
+                acc = sums.setdefault((op, len(keys)), [0, 0, 0, 0, 0])
+                for i, v in enumerate((r.reads, r.writes, r.staged, r.freed, 1)):
+                    acc[i] += v
+    return {case: tuple(Fraction(v, acc[4]) for v in acc[:4]) for case, acc in sums.items()}
+
+
+# (alpha, rho) -> op -> one "E[reads] E[writes] E[staged] E[freed]" row per
+# set size before the update: 0..3 for an insert, 1..4 for a delete (U = 4)
+EXPECTED_U4 = {
+    (1, 0): {
+        "insert": [
+            "0 2 1 0",
+            "3/2 7/2 3/2 1/2",
+            "10/3 14/3 17/9 8/9",
+            "77/16 45/8 53/24 29/24",
+        ],
+        "delete": [
+            "1 0 0 1",
+            "4 3/2 1/2 3/2",
+            "52/9 8/3 8/9 17/9",
+            "85/12 29/8 29/24 53/24",
+        ],
+    },
+    (1, 1): {
+        "insert": [
+            "0 2 1 0",
+            "1 4 2 1",
+            "19/3 6 3 2",
+            "49/8 25/4 11/4 7/4",
+        ],
+        "delete": [
+            "1 0 0 1",
+            "5/2 3/2 1/2 3/2",
+            "49/9 38/9 16/9 25/9",
+            "167/24 101/24 37/24 61/24",
+        ],
+    },
+    (1, 2): {
+        "insert": [
+            "0 2 1 0",
+            "1 4 2 1",
+            "8/3 16/3 7/3 4/3",
+            "45/4 8 4 3",
+        ],
+        "delete": [
+            "1 0 0 1",
+            "5/2 3/2 1/2 3/2",
+            "4 3 1 2",
+            "29/4 6 21/8 29/8",
+        ],
+    },
+    (2, 0): {
+        "insert": [
+            "0 2 1 0",
+            "1 2 1 1",
+            "4/3 11/3 5/3 2/3",
+            "71/24 31/8 5/3 7/6",
+        ],
+        "delete": [
+            "1 0 0 1",
+            "1 2 1 1",
+            "13/3 5/3 2/3 5/3",
+            "25/6 11/4 13/12 19/12",
+        ],
+    },
+    (2, 1): {
+        "insert": [
+            "0 2 1 0",
+            "1 2 1 1",
+            "1 4 2 1",
+            "6 14/3 7/3 2",
+        ],
+        "delete": [
+            "1 0 0 1",
+            "1 2 1 1",
+            "7/3 5/3 2/3 5/3",
+            "11/3 13/3 2 7/3",
+        ],
+    },
+    (2, 2): {
+        "insert": [
+            "0 2 1 0",
+            "1 2 1 1",
+            "1 4 2 1",
+            "5/2 7/2 3/2 3/2",
+        ],
+        "delete": [
+            "1 0 0 1",
+            "1 2 1 1",
+            "7/3 5/3 2/3 5/3",
+            "5/2 7/2 3/2 3/2",
+        ],
+    },
+    (3, 0): {
+        "insert": [
+            "0 2 1 0",
+            "1 2 1 1",
+            "1 2 1 1",
+            "5/4 15/4 7/4 3/4",
+        ],
+        "delete": [
+            "1 0 0 1",
+            "1 2 1 1",
+            "1 2 1 1",
+            "9/2 7/4 3/4 7/4",
+        ],
+    },
+    (3, 1): {
+        "insert": [
+            "0 2 1 0",
+            "1 2 1 1",
+            "1 2 1 1",
+            "1 4 2 1",
+        ],
+        "delete": [
+            "1 0 0 1",
+            "1 2 1 1",
+            "1 2 1 1",
+            "9/4 7/4 3/4 7/4",
+        ],
+    },
+    (3, 2): {
+        "insert": [
+            "0 2 1 0",
+            "1 2 1 1",
+            "1 2 1 1",
+            "1 4 2 1",
+        ],
+        "delete": [
+            "1 0 0 1",
+            "1 2 1 1",
+            "1 2 1 1",
+            "9/4 7/4 3/4 7/4",
+        ],
+    },
+}
+
+
+@pytest.mark.parametrize("alpha,rho", GRID)
+def test_every_toggle_of_four_keys(alpha, rho):
+    got = _toggle_all([1, 2, 3, 4], Params(alpha, rho))
+    want = {}
+    for op, rows in EXPECTED_U4[alpha, rho].items():
+        for i, row in enumerate(rows):
+            want[op, i + (op == "delete")] = tuple(map(Fraction, row.split()))
+    assert got == want
+
+
+@pytest.mark.slow
+def test_every_toggle_of_five_keys():
+    # E[writes] to insert a uniform key into a 4-key set, first measured by a
+    # probe of all 172,800 U = 5 toggles
+    want = {(1, 0): Fraction(161, 25), (2, 2): Fraction(6), (3, 2): Fraction(18, 5)}
+    for alpha, rho in GRID:
+        got = _toggle_all([1, 2, 3, 4, 5], Params(alpha, rho))
+        if (alpha, rho) in want:
+            assert got["insert", 4][1] == want[alpha, rho]
