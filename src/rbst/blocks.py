@@ -1,10 +1,11 @@
-"""Block node layout and fixed-width binary records.
+"""Block node layout and the one fixed-width image entry per block.
 
 A block is one external-memory unit: up to alpha keys, alpha+1 child
 slots, a parent reference, its distance from the root, and the stored
-fan-out of its subtree.  The serialized record is fixed-size per alpha so
+fan-out of its subtree.  Its image entry is fixed-size per alpha, so
 equality of logical states is a plain byte comparison:
 
+    label        u64                   (the minimum-priority key of the array)
     depth        u32
     key_count    u16
     fanout_state u16                   (stored fan-out of the subtree)
@@ -12,8 +13,7 @@ equality of logical states is a plain byte comparison:
     keys         alpha x u64           (unused slots zero-filled)
     children     (alpha+1) x (u8 presence + u64 child label + u64 weight)
 
-All integers little-endian.  The block label (the minimum-priority key of
-the block's array) is the map key, not part of the record.
+All integers little-endian; an absent parent or child slot is all zero.
 """
 
 from __future__ import annotations
@@ -72,13 +72,10 @@ class BlockNode:
         return None
 
 
-def record_size(alpha: int) -> int:
-    return _record_struct(alpha).size
-
-
 @cache
-def _record_struct(alpha: int) -> struct.Struct:
-    return struct.Struct("<IHHBQ" + "Q" * alpha + "BQQ" * (alpha + 1))
+def record_struct(alpha: int) -> struct.Struct:
+    """The image entry for one block: its u64 label, then its record."""
+    return struct.Struct("<QIHHBQ" + "Q" * alpha + "BQQ" * (alpha + 1))
 
 
 def pack_record(node: BlockNode, alpha: int) -> bytes:
@@ -86,6 +83,7 @@ def pack_record(node: BlockNode, alpha: int) -> bytes:
     if bad is not None:
         raise InvalidBlockError(bad)
     fields = [
+        node.label,
         node.depth,
         len(node.keys),
         node.fanout,
@@ -99,22 +97,28 @@ def pack_record(node: BlockNode, alpha: int) -> bytes:
             fields.extend((0, 0, 0))
         else:
             fields.extend((1, child.label, child.weight))
-    return _record_struct(alpha).pack(*fields)
+    return record_struct(alpha).pack(*fields)
 
 
-def unpack_record(buf: bytes, alpha: int, label: int) -> BlockNode:
-    vals = _record_struct(alpha).unpack(buf)
-    depth, key_count, fanout, parent_present, parent = vals[:5]
+def unpack_record(vals: tuple, alpha: int) -> BlockNode:
+    """The block of one `record_struct(alpha)` entry.  One tree has one image, so
+    unused keys and absent fields must be zero and presence bytes 0 or 1."""
+    label, depth, key_count, fanout, parent_present, parent = vals[:6]
     if not 1 <= key_count <= alpha:
         raise FormatError(f"block {label}: key_count {key_count} outside 1..{alpha}")
     if not 1 <= fanout <= alpha + 1:
         raise FormatError(f"block {label}: fanout_state {fanout} outside 1..{alpha + 1}")
-    keys = list(vals[5:5 + key_count])
-    children = []
-    base = 5 + alpha
-    for i in range(alpha + 1):
-        present, clabel, weight = vals[base + 3 * i: base + 3 * i + 3]
-        children.append(ChildRef(clabel, weight) if present else None)
-    return BlockNode(
-        keys, children, parent if parent_present else None, depth, fanout, label
-    )
+    if parent_present != 1 and (parent_present or parent):
+        raise FormatError(f"block {label}: parent presence {parent_present}, parent {parent}")
+    base = 6 + alpha
+    if any(vals[6 + key_count:base]):
+        raise FormatError(f"block {label}: unused key slot not zero")
+    children = [ChildRef(c, w) if p == 1 else None if p == c == w == 0
+                else _bad_slot(label, p, c, w)
+                for p, c, w in zip(vals[base::3], vals[base + 1::3], vals[base + 2::3])]
+    return BlockNode(list(vals[6:6 + key_count]), children,
+                     parent if parent_present else None, depth, fanout, label)
+
+
+def _bad_slot(label: int, p: int, c: int, w: int) -> None:
+    raise FormatError(f"block {label}: child slot (presence, label, weight) {(p, c, w)}")

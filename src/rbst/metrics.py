@@ -188,11 +188,13 @@ def _agg(values: list[float]) -> tuple[float, float, float]:
 
 
 def _row(cfg: ExperimentConfig, experiment: str, eps: float, params: Params, n: int,
-         metric: str, values: list[float], bound: float, kind: str) -> BoundRow:
-    """One row over the per-trial `values`; a single value is a constant (stddev 0)."""
+         metric: str, values: list[float], bound: float | None = None,
+         kind: str = "report") -> BoundRow:
+    """One row over the per-trial `values`; a single value is a constant (stddev 0).
+    A `report` row restates its mean as its bound."""
     mean, std, half_ci = _agg(values)
     return BoundRow(experiment, params.alpha, eps, params.rho, n, cfg.trials, metric,
-                    mean, std, bound, kind, half_ci)
+                    mean, std, mean if kind == "report" else bound, kind, half_ci)
 
 
 # ---------------------------------------------------------------------------
@@ -230,14 +232,12 @@ def bench_depth(cfg: ExperimentConfig) -> list[BoundRow]:
             bound = 5 * math.log(n) / math.log(alpha) if alpha > 1 else float("inf")
             rows.append(_row(cfg, "depth", eps, params, n, "primary_visits",
                              prim_means, bound, "upper"))
-            fitted_c = _agg(sec_means)[0] * eps
-            rows.append(_row(cfg, "depth", eps, params, n, "secondary_visits",
-                             sec_means, fitted_c / eps, "report"))
+            rows.append(_row(cfg, "depth", eps, params, n, "secondary_visits", sec_means))
             rows.append(_row(cfg, "depth", eps, params, n, "secondary_visit_constant",
-                             [fitted_c], fitted_c, "report"))
+                             [_agg(sec_means)[0] * eps]))
             if range_consts:
                 rows.append(_row(cfg, "depth", eps, params, n, "range_report_read_constant",
-                                 range_consts, _agg(range_consts)[0], "report"))
+                                 range_consts))
     return rows
 
 
@@ -330,11 +330,9 @@ def bench_updates(cfg: ExperimentConfig, collect_receipts: bool = False):
             mean = _agg(writes_means)[0]
             means_by_n[n] = mean
             expr = 1 / eps + math.log(n) / math.log(alpha) / alpha if alpha > 1 else 1 / eps
-            fitted_c = mean / expr
-            rows.append(_row(cfg, "updates", eps, params, n, "writes_per_update",
-                             writes_means, fitted_c * expr, "report"))
+            rows.append(_row(cfg, "updates", eps, params, n, "writes_per_update", writes_means))
             rows.append(_row(cfg, "updates", eps, params, n, "update_write_constant",
-                             [fitted_c], fitted_c, "report"))
+                             [mean / expr]))
             rows.append(_row(cfg, "updates", eps, params, n, "audit_violations",
                              [audit_fails], 0.0, "upper"))
         ns_sorted = sorted(means_by_n)

@@ -2,10 +2,10 @@
 
 Two regions share one store: the uniquely-represented region, addressed
 by block label, and an auxiliary scratch region addressed by opaque
-handles, used to stage rebuilds before an atomic commit.  Every block
-access goes through read/write calls that bump the counters; reads pin
-the block until the caller releases it, so peak_pinned measures how many
-blocks an algorithm really holds in main memory at once.
+handles, which stages rebuilds write-only until an atomic commit.  Every
+block access goes through read/write calls that bump the counters; reads
+pin the block until the caller releases it, so peak_pinned measures how
+many blocks an algorithm really holds in main memory at once.
 
 Image file format (all integers little-endian):
 
@@ -18,7 +18,7 @@ Image file format (all integers little-endian):
     root_present  u8
     root          u64
     block_count   u64
-    blocks        block_count x (u64 label + fixed-size record), label ascending
+    blocks        block_count x record (blocks.record_struct), label ascending
 
 Only the UR region is serialized; auxiliary blocks never reach an image.
 """
@@ -26,9 +26,9 @@ Only the UR region is serialized; auxiliary blocks never reach an image.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .blocks import BlockNode, pack_record, record_size, unpack_record
+from .blocks import BlockNode, pack_record, record_struct, unpack_record
 from .errors import AccountingError, CorruptionError, FormatError, InvalidBlockError, NotFoundError
 
 MAGIC = b"RBST"
@@ -53,10 +53,6 @@ class IoStats:
     cur_pinned: int = 0
     peak_pinned: int = 0
 
-    def snapshot(self) -> "IoStats":
-        return IoStats(self.reads, self.writes, self.allocs, self.frees,
-                       self.cur_pinned, self.peak_pinned)
-
 
 @dataclass(frozen=True)
 class ImageHeader:
@@ -76,50 +72,44 @@ class BlockStore:
         self.aux: dict[int, BlockNode] = {}
         self._stats = IoStats()
         self._next_handle = 1
-        self._pins: dict[object, int] = {}
+        self._pins: dict[int, int] = {}
 
     # -- access -------------------------------------------------------
 
-    def read(self, ref) -> BlockNode:
-        """Counted read; pins the block until release(ref)."""
-        node = self._lookup(ref)
+    def read(self, label: int) -> BlockNode:
+        """Counted read; pins the block until release(label)."""
+        node = self._lookup(label)
         stats, pins = self._stats, self._pins
         stats.reads += 1
-        # an AuxHandle never equals an int label, so the ref is the pin key
-        pins[ref] = pins.get(ref, 0) + 1
+        pins[label] = pins.get(label, 0) + 1
         stats.cur_pinned += 1
         if stats.cur_pinned > stats.peak_pinned:
             stats.peak_pinned = stats.cur_pinned
         return node
 
-    def peek(self, ref) -> BlockNode:
+    def peek(self, label: int) -> BlockNode:
         """Uncounted access for the invariant checker, the oracle and tests only.
 
         No update calls it: every block an update touches goes through read.
         """
-        return self._lookup(ref)
+        return self._lookup(label)
 
-    def release(self, ref) -> None:
+    def release(self, label: int) -> None:
         pins = self._pins
-        cnt = pins.get(ref, 0)
+        cnt = pins.get(label, 0)
         if cnt <= 0:
-            raise AccountingError(f"release of unpinned block {ref!r}")
+            raise AccountingError(f"release of unpinned block {label!r}")
         if cnt == 1:
-            del pins[ref]
+            del pins[label]
         else:
-            pins[ref] = cnt - 1
+            pins[label] = cnt - 1
         self._stats.cur_pinned -= 1
 
-    def _lookup(self, ref) -> BlockNode:
-        if isinstance(ref, AuxHandle):
-            try:
-                return self.aux[ref.id]
-            except KeyError:
-                raise NotFoundError(f"auxiliary handle {ref.id} not found") from None
+    def _lookup(self, label: int) -> BlockNode:
         try:
-            return self.blocks[ref]
+            return self.blocks[label]
         except KeyError:
-            raise NotFoundError(f"block label {ref} not found") from None
+            raise NotFoundError(f"block label {label} not found") from None
 
     # -- mutation -----------------------------------------------------
 
@@ -177,7 +167,7 @@ class BlockStore:
     # -- stats --------------------------------------------------------
 
     def stats(self) -> IoStats:
-        return self._stats.snapshot()
+        return replace(self._stats)
 
     def reset_stats(self) -> None:
         cur = self._stats.cur_pinned
@@ -186,57 +176,65 @@ class BlockStore:
     # -- images -------------------------------------------------------
 
     def image_bytes(self, header: ImageHeader) -> bytes:
-        items = sorted(self.blocks.items())
-        out = [
-            _HEADER.pack(
-                MAGIC, VERSION, header.alpha, header.rho, header.seed, header.n,
-                1 if header.root is not None else 0,
-                header.root if header.root is not None else 0,
-                len(items),
-            )
-        ]
-        for label, node in items:
-            out.append(struct.pack("<Q", label))
-            out.append(pack_record(node, self.alpha))
-        return b"".join(out)
+        blocks, alpha = self.blocks, self.alpha
+        head = _HEADER.pack(
+            MAGIC, VERSION, header.alpha, header.rho, header.seed, header.n,
+            1 if header.root is not None else 0,
+            header.root if header.root is not None else 0,
+            len(blocks),
+        )
+        return b"".join([head] + [pack_record(blocks[label], alpha) for label in sorted(blocks)])
 
 
 def parse_image(data: bytes) -> tuple[BlockStore, ImageHeader]:
     if len(data) < _HEADER.size:
         raise FormatError("image shorter than header")
-    magic, version, alpha, rho, seed, n, root_present, root, count = _HEADER.unpack(
-        data[:_HEADER.size]
-    )
+    magic, version, alpha, rho, seed, n, root_present, root, count = _HEADER.unpack_from(data)
     if magic != MAGIC:
         raise FormatError(f"bad magic {magic!r}")
     if version != VERSION:
         raise FormatError(f"unsupported version {version}")
     if not 1 <= alpha <= ALPHA_MAX:
         raise FormatError(f"bad alpha {alpha}: outside 1..{ALPHA_MAX}")
-    rec = record_size(alpha)
-    body = data[_HEADER.size:]
-    if len(body) != count * (8 + rec):
+    entry = record_struct(alpha)
+    body = memoryview(data)[_HEADER.size:]
+    if len(body) != count * entry.size:
         raise FormatError(
-            f"truncated image: {len(body)} body bytes for {count} blocks of {8 + rec}"
+            f"truncated image: {len(body)} body bytes for {count} blocks of {entry.size}"
         )
     store = BlockStore(alpha)
     prev_label = -1
-    off = 0
-    for _ in range(count):
-        (label,) = struct.unpack_from("<Q", body, off)
-        if label <= prev_label:
-            raise FormatError(f"block labels not ascending at {label}")
-        prev_label = label
-        node = unpack_record(body[off + 8: off + 8 + rec], alpha, label)
-        store.blocks[label] = node
-        off += 8 + rec
+    for vals in entry.iter_unpack(body):
+        node = unpack_record(vals, alpha)
+        if node.label <= prev_label:
+            raise FormatError(f"block labels not ascending at {node.label}")
+        prev_label = node.label
+        store.blocks[prev_label] = node
     header = ImageHeader(alpha, rho, seed, n, root if root_present else None)
     if header.root is None and n > 0:
         raise FormatError("missing root for a non-empty image")
-    if header.root is not None and header.root not in store.blocks:
-        raise FormatError(f"dangling root label {header.root}")
-    for label, node in store.blocks.items():
-        for child in node.children:
-            if child is not None and child.label not in store.blocks:
-                raise FormatError(f"dangling child label {child.label} in block {label}")
+    _check_links(store.blocks, header.root)
     return store, header
+
+
+def _check_links(blocks: dict[int, BlockNode], root: int | None) -> None:
+    """One tree or a FormatError: the header links the root at depth 0, and every other
+    block is linked once, by the block its parent field names, one level below (no cycle)."""
+    linker = {} if root is None else {root: None}   # label -> label of the block linking it
+    for label, node in blocks.items():
+        for ref in node.children:
+            if ref is not None:
+                if ref.label in linker:
+                    raise FormatError(f"block {ref.label}: linked again, from block {label}")
+                linker[ref.label] = label
+    for label, node in blocks.items():
+        if label not in linker:
+            raise FormatError(f"block {label}: linked from no block")
+        parent = linker.pop(label)
+        depth = 0 if parent is None else blocks[parent].depth + 1
+        if node.parent != parent or node.depth != depth:
+            raise FormatError(f"block {label}: parent {node.parent}, depth {node.depth}, "
+                              f"want parent {parent}, depth {depth}")
+    for label, parent in linker.items():
+        where = "the header" if parent is None else f"block {parent}"
+        raise FormatError(f"dangling label {label}, linked from {where}")

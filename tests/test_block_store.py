@@ -1,15 +1,18 @@
+import hashlib
 import struct
 
+import numpy as np
 import pytest
 
 from rbst import BlockStore, Params, Tree, insert
-from rbst.blocks import BlockNode, ChildRef, pack_record, record_size, unpack_record
+from rbst.blocks import BlockNode, ChildRef, pack_record, record_struct, unpack_record
 from rbst.errors import (
     AccountingError, ConfigError, CorruptionError, FormatError, InvalidBlockError, NotFoundError,
 )
+from rbst.metrics import fast_build, sample_keys
 from rbst.oracle import oracle_tree
 from rbst.priority import ExplicitPriority, HashedPriority
-from rbst.store import AuxHandle, parse_image
+from rbst.store import parse_image
 
 
 def leaf(keys, alpha, label=None):
@@ -21,12 +24,13 @@ def test_record_roundtrip():
     alpha = 3
     node = BlockNode([5, 9, 12], [None, ChildRef(7, 4), None, ChildRef(20, 2)],
                      parent=99, depth=3, fanout=2, label=9)
+    entry = record_struct(alpha)
     buf = pack_record(node, alpha)
-    assert len(buf) == record_size(alpha)
-    back = unpack_record(buf, alpha, 9)
+    assert len(buf) == entry.size
+    back = unpack_record(entry.unpack(buf), alpha)
     assert back.keys == node.keys
     assert back.children == node.children
-    assert back.parent == 99 and back.depth == 3 and back.fanout == 2
+    assert back.parent == 99 and back.depth == 3 and back.fanout == 2 and back.label == 9
 
 
 def test_read_root_of_three_key_build():
@@ -59,8 +63,7 @@ def test_write_aux_roundtrip_and_counters():
     after = store.stats()
     assert after.writes - before.writes == 1
     assert after.allocs - before.allocs == 1
-    assert store.read(h).keys == [5]
-    store.release(h)
+    assert store.aux[h.id].keys == [5]
 
 
 def test_write_aux_rejects_overfull_and_unsorted():
@@ -135,26 +138,6 @@ def test_pin_release_cycle():
     assert store.stats().peak_pinned == 1
     with pytest.raises(AccountingError):
         store.release(5)
-
-
-def test_pins_keep_label_and_aux_handle_apart():
-    store = BlockStore(2)
-    handle = store.write_aux(leaf([9], 2))
-    k = handle.id
-    store.blocks[k] = leaf([k], 2)
-    assert AuxHandle(k) == handle
-    store.read(k)
-    store.read(AuxHandle(k))
-    assert store.stats().cur_pinned == 2 and store.stats().peak_pinned == 2
-    store.release(k)
-    assert store.stats().cur_pinned == 1
-    with pytest.raises(AccountingError):
-        store.release(k)
-    store.release(AuxHandle(k))
-    assert store.stats().cur_pinned == 0
-    with pytest.raises(AccountingError):
-        store.release(AuxHandle(k))
-    assert store.stats().cur_pinned == 0
 
 
 def test_reset_stats_preserves_pins():
@@ -255,6 +238,112 @@ def test_image_dangling_child_names_label():
     tree.n -= 1  # keep the header plausible; the dangling reference is the fault
     with pytest.raises(FormatError, match=str(missing)):
         parse_image(tree.image())
+
+
+def _linked_tree() -> Tree:
+    tree = Tree.empty(Params(2, 2), seed=0)
+    for k in range(210):
+        insert(tree, k)
+    return tree
+
+
+def test_image_with_a_link_back_to_the_root_is_refused():
+    # without the link check this image loads, and a successor sweep never ends
+    tree = _linked_tree()
+    blocks = tree.store.blocks
+    leaf_label = next(l for l, b in blocks.items() if not any(b.children))
+    blocks[leaf_label].children[0] = ChildRef(tree.root, tree.n)
+    why = f"block {tree.root}: linked again, from block {leaf_label}"
+    with pytest.raises(FormatError, match=why):
+        Tree.from_image_bytes(tree.image())
+
+
+@pytest.mark.parametrize("fault", ["linked-twice", "wrong-parent", "root-parent", "wrong-depth",
+                                   "stray"])
+def test_image_that_is_not_one_tree_is_refused(fault):
+    tree = _linked_tree()
+    blocks = tree.store.blocks
+    leaves = sorted(l for l, b in blocks.items() if not any(b.children))
+    named = leaves[0]
+    parent, depth = blocks[named].parent, blocks[named].depth
+    if fault == "linked-twice":
+        blocks[leaves[1]].children[0] = ChildRef(named, len(blocks[named].keys))
+        why = f"linked again, from block {max(leaves[1], parent)}"
+    elif fault == "wrong-parent":
+        blocks[named].parent = tree.root
+        why = f"parent {tree.root}, depth {depth}, want parent {parent}, depth {depth}"
+    elif fault == "root-parent":
+        named = tree.root
+        blocks[named].parent = parent
+        why = f"parent {parent}, depth 0, want parent None, depth 0"
+    elif fault == "wrong-depth":
+        blocks[named].depth += 1
+        why = f"parent {parent}, depth {depth + 1}, want parent {parent}, depth {depth}"
+    else:
+        named, why = 1000, "linked from no block"
+        blocks[named] = leaf([named], 2)
+    with pytest.raises(FormatError, match=f"block {named}: {why}"):
+        parse_image(tree.image())
+
+
+def _patched(img: bytes, label: int, field: int, value: int) -> bytes:
+    """`img` with field `field` of block `label`'s entry set to `value`."""
+    store, _ = parse_image(img)
+    entry = record_struct(store.alpha)
+    at = len(img) - entry.size * (len(store.blocks) - sorted(store.blocks).index(label))
+    vals = list(entry.unpack_from(img, at))
+    vals[field] = value
+    return img[:at] + entry.pack(*vals) + img[at + entry.size:]
+
+
+@pytest.mark.parametrize("fault", ["unused-key", "absent-parent", "parent-presence",
+                                   "absent-slot-label", "absent-slot-weight", "slot-presence"])
+def test_image_not_written_by_pack_is_refused(fault):
+    # one tree, one file: at alpha 4 an entry is label, depth, key_count, fanout_state,
+    # parent presence and key, 4 key slots, then 5 (presence, label, weight) slots
+    tree = Tree.empty(Params(4, 2), seed=3)
+    for k in range(10, 400, 7):
+        insert(tree, k)
+    img = tree.image()
+    blocks = tree.store.blocks
+    other = next(l for l in sorted(blocks) if l != tree.root)
+    inner = next(l for l in sorted(blocks) if any(blocks[l].children))
+    slots = blocks[inner].children
+    used = slots.index(next(c for c in slots if c is not None))
+    absent = slots.index(None)
+    label, field, value = {
+        "unused-key": (66, 6 + 3, 12345),
+        "absent-parent": (tree.root, 5, 7),
+        "parent-presence": (other, 4, 2),
+        "absent-slot-label": (inner, 10 + 3 * absent + 1, 5),
+        "absent-slot-weight": (inner, 10 + 3 * absent + 2, 5),
+        "slot-presence": (inner, 10 + 3 * used, 2),
+    }[fault]
+    if fault == "unused-key":
+        # without the zero-fill check this image loads, checks clean and re-packs to
+        # other bytes: a second file for the same tree
+        assert len(blocks[66].keys) < 4
+    with pytest.raises(FormatError, match=f"block {label}: "):
+        Tree.from_image_bytes(_patched(img, label, field, value))
+
+
+@pytest.mark.parametrize("n,seed,params,digest", [
+    (100_000, 101, Params.of(4, 0.5, 108), "c3f75016f8c523c4"),    # query-a4
+    (100_000, 101, Params.of(16, 0.5, 108), "a3d55e993cc460e8"),   # churn-a16
+    (100_000, 101, Params.of(4, 0.5, 2), "a5ac609102966e44"),      # mixed-a4-c2
+    (0, 1, Params.of(4, 0.5), "0e4f9691c2cab010"),
+    (1, 1, Params.of(4, 0.5), "ebd1c9ade72e1819"),
+    (300, 5, Params.unbuffered(1), "e71206a7bad58c70"),
+    (5000, 7, Params.of(64, 0.5, 2), "cb4e652848e82990"),
+])
+def test_image_bytes_are_pinned(n, seed, params, digest):
+    # every other image test is relative (update against oracle, pack against parse),
+    # so only an absolute digest catches a format drift made in pack and parse alike
+    keys = sample_keys(np.random.default_rng(seed), n)
+    img = fast_build(keys, HashedPriority(seed), params).image()
+    assert hashlib.sha256(img).hexdigest()[:16] == digest
+    store, header = parse_image(img)
+    assert store.image_bytes(header) == img
 
 
 @pytest.mark.parametrize("field,offset,value", [

@@ -207,7 +207,7 @@ GOLDEN_BENCHES = {
         (0, "93b5efbdd1021699", "0f41ea6d280abfc2", "db355bb7e2c9b117"),
     "bench-updates --alpha 2,3 --eps 0.5,0.25 --c-rho 1 --n 200,400 --trials 2 --ops 60"
     " --seed 11":
-        (0, "8df7c604956d4142", "c38ea6eb308e5bee", "5a8485f9bebb9983"),
+        (0, "8df7c604956d4142", "c38ea6eb308e5bee", "1eb0e5619e704aca"),
     "bench-updates --alpha 3 --n 300 --trials 2 --ops 50 --seed 2 --no-buffering":
         (0, "355d4fa65facd01c", "54551d56df46d7e6", "02d018a4cfa21b08"),
     "bench-updates --alpha 16 --n 1500 --trials 1 --ops 40 --seed 6":
