@@ -6,7 +6,7 @@ class RbstError(Exception):
 
 
 class NotFoundError(RbstError):
-    """Requested block label or auxiliary handle does not exist."""
+    """Requested block label does not exist."""
 
 
 class InvalidBlockError(RbstError):

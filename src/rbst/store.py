@@ -1,11 +1,14 @@
 """Simulated block-addressable external memory with exact I/O accounting.
 
-Two regions share one store: the uniquely-represented region, addressed
-by block label, and an auxiliary scratch region addressed by opaque
-handles, which stages rebuilds write-only until an atomic commit.  Every
-block access goes through read/write calls that bump the counters; reads
-pin the block until the caller releases it, so peak_pinned measures how
-many blocks an algorithm really holds in main memory at once.
+Two regions share one store, and both are addressed by block label: the
+uniquely-represented (UR) region, and an auxiliary region that stages a
+rebuild's blocks write-only until an atomic commit promotes all of them.
+Promoting the whole staged region is promoting one rebuild site's blocks,
+because every update commits what it stages at that site before it stages
+anything at another.  Every block access goes through read/write calls
+that bump the counters; reads pin the block until the caller releases it,
+so peak_pinned measures how many blocks an algorithm really holds in main
+memory at once.
 
 Image file format (all integers little-endian):
 
@@ -39,11 +42,6 @@ RHO_MAX = 0xFFFFFFFF          # rho is a u32 header field
 _HEADER = struct.Struct("<4sHHIQQBQQ")
 
 
-@dataclass(frozen=True)
-class AuxHandle:
-    id: int
-
-
 @dataclass
 class IoStats:
     reads: int = 0
@@ -64,14 +62,13 @@ class ImageHeader:
 
 
 class BlockStore:
-    """Label-addressed UR region plus handle-addressed auxiliary region."""
+    """Label-addressed UR region plus label-addressed staging region `aux`."""
 
     def __init__(self, alpha: int):
         self.alpha = alpha
         self.blocks: dict[int, BlockNode] = {}
         self.aux: dict[int, BlockNode] = {}
         self._stats = IoStats()
-        self._next_handle = 1
         self._pins: dict[int, int] = {}
 
     # -- access -------------------------------------------------------
@@ -113,56 +110,45 @@ class BlockStore:
 
     # -- mutation -----------------------------------------------------
 
-    def write_aux(self, node: BlockNode) -> AuxHandle:
+    def write_aux(self, node: BlockNode) -> None:
+        """Stage `node` under its label until the next commit: one write, one alloc."""
         bad = node.local_violation(self.alpha)
         if bad is not None:
             raise InvalidBlockError(bad)
-        handle = AuxHandle(self._next_handle)
-        self._next_handle += 1
-        self.aux[handle.id] = node
+        if node.label in self.aux:
+            raise CorruptionError(f"two staged blocks share label {node.label}")
+        self.aux[node.label] = node
         self._stats.writes += 1
         self._stats.allocs += 1
-        return handle
 
-    def rewrite(self, label: int, node: BlockNode) -> None:
-        """In-place overwrite of a UR block (same label), one counted write."""
-        if label not in self.blocks:
-            raise NotFoundError(f"block label {label} not found")
-        if node.label != label:
-            raise CorruptionError(f"rewrite of {label} with a block labelled {node.label}")
+    def rewrite(self, node: BlockNode) -> None:
+        """In-place overwrite of the UR block with node's label, one counted write."""
+        if node.label not in self.blocks:
+            raise NotFoundError(f"block label {node.label} not found")
         bad = node.local_violation(self.alpha)
         if bad is not None:
             raise InvalidBlockError(bad)
-        self.blocks[label] = node
+        self.blocks[node.label] = node
         self._stats.writes += 1
 
-    def commit_rebuild(self, obsolete, staged) -> None:
-        """Atomically free obsolete UR blocks and promote staged aux blocks."""
+    def commit_rebuild(self, obsolete) -> None:
+        """Atomically free the obsolete UR blocks and promote every staged block."""
         obsolete = set(obsolete)
-        staged = list(staged)
+        blocks, aux = self.blocks, self.aux
         for label in obsolete:
-            if label not in self.blocks:
+            if label not in blocks:
                 raise NotFoundError(f"obsolete label {label} not found")
-        incoming: dict[int, BlockNode] = {}
-        for handle in staged:
-            node = self.aux.get(handle.id)
-            if node is None:
-                raise NotFoundError(f"auxiliary handle {handle.id} not found")
-            if node.label in incoming:
-                raise CorruptionError(f"two staged blocks share label {node.label}")
-            incoming[node.label] = node
-        for label in incoming:
-            if label in self.blocks and label not in obsolete:
+        for label in aux:
+            if label in blocks and label not in obsolete:
                 raise CorruptionError(
                     f"staged block label {label} collides with a surviving block"
                 )
         for label in obsolete:
-            del self.blocks[label]          # zeroed: nothing of the old block survives
+            del blocks[label]               # zeroed: nothing of the old block survives
         self._stats.frees += len(obsolete)
-        for handle in staged:
-            node = self.aux.pop(handle.id)
-            self.blocks[node.label] = node
-            self._stats.writes += 1
+        blocks.update(aux)
+        self._stats.writes += len(aux)
+        aux.clear()
 
     # -- stats --------------------------------------------------------
 
@@ -194,6 +180,10 @@ def parse_image(data: bytes) -> tuple[BlockStore, ImageHeader]:
         raise FormatError(f"bad magic {magic!r}")
     if version != VERSION:
         raise FormatError(f"unsupported version {version}")
+    if root_present not in (0, 1):
+        raise FormatError(f"bad root_present {root_present}: not 0 or 1")
+    if not root_present and root:
+        raise FormatError(f"bad root {root}: root_present is 0")
     if not 1 <= alpha <= ALPHA_MAX:
         raise FormatError(f"bad alpha {alpha}: outside 1..{ALPHA_MAX}")
     entry = record_struct(alpha)

@@ -49,7 +49,6 @@ from .core import (
 )
 from .errors import ConfigError, DuplicateKeyError, MissingKeyError
 from .priority import MASK64
-from .store import AuxHandle
 
 # fewer keys rank faster by hashing each in Python than by one numpy call
 _NUMPY_FROM = 32   # the two paths cross at 24-32 keys on a 2-vCPU x86 host
@@ -108,7 +107,6 @@ class _Ctx:
         self.relabels: dict[int, int] = {}
         self.path: list[tuple[int, int]] = []     # (label, child slot) passed
         self.cases: list[str] = []
-        self._site_handles: list[AuxHandle] = []
         self._site_obsolete: dict[int, int] = {}
 
     def read(self, label: int) -> BlockNode:
@@ -120,31 +118,22 @@ class _Ctx:
     # -- staging ------------------------------------------------------
 
     def stage(self, node: BlockNode) -> None:
-        handle = self.store.write_aux(node)
-        self._site_handles.append(handle)
+        self.store.write_aux(node)
         self.staged[node.label] = node.depth
 
-    def mark_obsolete(self, label: int, depth: int) -> None:
-        self._site_obsolete[label] = depth
-
-    def obsolete_recorder(self):
-        def on_block(label: int, node: BlockNode) -> None:
-            self._site_obsolete[label] = node.depth
-        return on_block
-
-    def collect_subtree(self, root_label: int) -> None:
-        scan_keys(self.store, self.prio, root_label, NEG_INF, POS_INF,
-                  on_block=self.obsolete_recorder())
+    def mark_obsolete(self, label: int, node: BlockNode) -> None:
+        """Free `node` at the site's commit; fits `scan_keys`' on_block."""
+        self._site_obsolete[label] = node.depth
 
     def commit_site(self) -> None:
-        self.store.commit_rebuild(set(self._site_obsolete), self._site_handles)
+        """Free the site's obsolete blocks and promote all it staged: the store's whole aux."""
+        self.store.commit_rebuild(self._site_obsolete)
         self.freed.update(self._site_obsolete)
-        self._site_handles = []
         self._site_obsolete = {}
 
-    def rewrite(self, label: int, node: BlockNode) -> None:
-        self.store.rewrite(label, node)
-        self.rewritten.add(label)
+    def rewrite(self, node: BlockNode) -> None:
+        self.store.rewrite(node)
+        self.rewritten.add(node.label)
 
     # -- receipts -----------------------------------------------------
 
@@ -188,10 +177,9 @@ def _top_pass(ctx: _Ctx, sources, lo: int, hi: int, include, exclude) -> list[in
     in (lo, hi) (pushed down into the section, held by no old block) join them.
     """
     pool: list[int] = []
-    on_block = ctx.obsolete_recorder()
     for src in sources:
         scan_keys(ctx.store, ctx.prio, src, lo, hi, on_key=pool.append,
-                  on_block=on_block, exclude=exclude)
+                  on_block=ctx.mark_obsolete, exclude=exclude)
     pool += [key for key in include if lo < key < hi]
     return _by_priority(ctx.prio, pool)
 
@@ -298,7 +286,7 @@ def _build_fresh(ctx: _Ctx, lo: int, hi: int, weight: int, sources, include, exc
     """
     if weight == 0:
         for src in sources:
-            ctx.collect_subtree(src)
+            scan_keys(ctx.store, ctx.prio, src, NEG_INF, POS_INF, on_block=ctx.mark_obsolete)
         return None
     pool = _top_pass(ctx, sources, lo, hi, include, exclude)
     assert len(pool) == weight, "section weight drifted"
@@ -373,7 +361,7 @@ def _run_anchor(ctx: _Ctx, node: BlockNode, lo: int, hi: int, n_new: int,
     alpha = ctx.alpha
     if not new_arr:
         ctx.relabels[node.label] = None
-        ctx.mark_obsolete(node.label, node.depth)
+        ctx.mark_obsolete(node.label, node)
         ctx.commit_site()
         return None
     d_new = fanout_bound(n_new, ctx.params)
@@ -401,7 +389,7 @@ def _run_anchor(ctx: _Ctx, node: BlockNode, lo: int, hi: int, n_new: int,
         if sub is not None:
             children[j] = ChildRef(sub, sec.weight)
     anchor = BlockNode(sorted(new_arr), children, node.parent, node.depth, d_new, label_new)
-    ctx.mark_obsolete(node.label, node.depth)
+    ctx.mark_obsolete(node.label, node)
     ctx.stage(anchor)
     ctx.commit_site()
     if label_new != node.label:
@@ -411,7 +399,7 @@ def _run_anchor(ctx: _Ctx, node: BlockNode, lo: int, hi: int, n_new: int,
                 continue
             child = ctx.read(sec.reuse.label).copy()
             child.parent = label_new
-            ctx.rewrite(sec.reuse.label, child)
+            ctx.rewrite(child)
     return continue_into
 
 
@@ -427,12 +415,12 @@ def _rewave(ctx: _Ctx, node: BlockNode, keys: list[int]) -> None:
     released at once and marked obsolete.  Their keys, at most alpha + rho + 1
     with `keys`, are ranked in one call and re-cut into waves after `keys`.
     """
-    ctx.mark_obsolete(node.label, node.depth)
+    ctx.mark_obsolete(node.label, node)
     tail: list[int] = []
     below = node.children[0]
     while below is not None:
         nxt = ctx.read(below.label)
-        ctx.mark_obsolete(below.label, nxt.depth)
+        ctx.mark_obsolete(below.label, nxt)
         tail += nxt.keys
         below = nxt.children[0]
     keys = keys + _by_priority(ctx.prio, tail)
@@ -570,7 +558,7 @@ def _apply_path_fixes(ctx: _Ctx, key: int, delta: int) -> None:
                 node.children[slot] = None
             else:
                 node.children[slot] = ChildRef(new_label, new_w)
-        ctx.rewrite(label, node)
+        ctx.rewrite(node)
 
 
 def _finish(ctx: _Ctx, op: str, key: int, before, delta: int) -> UpdateReceipt:

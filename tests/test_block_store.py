@@ -59,11 +59,21 @@ def test_two_reads_count_twice():
 def test_write_aux_roundtrip_and_counters():
     store = BlockStore(2)
     before = store.stats()
-    h = store.write_aux(leaf([5], 2))
+    store.write_aux(leaf([5], 2))
     after = store.stats()
     assert after.writes - before.writes == 1
     assert after.allocs - before.allocs == 1
-    assert store.aux[h.id].keys == [5]
+    assert store.aux[5].keys == [5]
+
+
+def test_write_aux_refuses_a_second_block_with_a_staged_label():
+    store = BlockStore(2)
+    store.write_aux(leaf([5], 2))
+    before = store.stats()
+    with pytest.raises(CorruptionError, match="two staged blocks share label 5"):
+        store.write_aux(leaf([5, 9], 2))
+    assert store.stats() == before
+    assert store.aux[5].keys == [5]
 
 
 def test_write_aux_rejects_overfull_and_unsorted():
@@ -95,9 +105,9 @@ def test_local_violation_names_key_fault(keys, fault):
 def test_commit_smallest_rebuild():
     store = BlockStore(2)
     store.blocks[5] = leaf([5], 2)
-    h = store.write_aux(leaf([5, 9], 2))
+    store.write_aux(leaf([5, 9], 2))
     before = store.stats()
-    store.commit_rebuild({5}, [h])
+    store.commit_rebuild({5})
     after = store.stats()
     assert len(store.blocks) == 1
     assert after.frees - before.frees == 1
@@ -107,9 +117,9 @@ def test_commit_smallest_rebuild():
 
 def test_commit_pure_growth_frees_nothing():
     store = BlockStore(2)
-    h = store.write_aux(leaf([7], 2))
+    store.write_aux(leaf([7], 2))
     before = store.stats()
-    store.commit_rebuild(set(), [h])
+    store.commit_rebuild(set())
     assert store.stats().frees == before.frees
     assert store.blocks[7].keys == [7]
 
@@ -117,15 +127,45 @@ def test_commit_pure_growth_frees_nothing():
 def test_commit_collision_is_corruption():
     store = BlockStore(2)
     store.blocks[5] = leaf([5], 2)
-    h = store.write_aux(leaf([5, 9], 2))
+    store.write_aux(leaf([5, 9], 2))
     with pytest.raises(CorruptionError):
-        store.commit_rebuild(set(), [h])
+        store.commit_rebuild(set())
 
 
 def test_commit_unknown_obsolete():
     store = BlockStore(2)
     with pytest.raises(NotFoundError):
-        store.commit_rebuild({77}, [])
+        store.commit_rebuild({77})
+
+
+def test_rewrite_replaces_the_block_with_one_write():
+    store = BlockStore(2)
+    store.blocks[5] = leaf([5], 2)
+    before = store.stats()
+    store.rewrite(leaf([5, 9], 2))
+    after = store.stats()
+    assert after.writes - before.writes == 1
+    assert (after.reads, after.allocs, after.frees) == (before.reads, before.allocs, before.frees)
+    assert store.blocks[5].keys == [5, 9]
+
+
+@pytest.mark.parametrize("fault", ["staged", "absent", "invalid"])
+def test_rewrite_refused_counts_nothing_and_changes_nothing(fault):
+    store = BlockStore(2)
+    store.blocks[5] = leaf([5], 2)
+    store.write_aux(leaf([7], 2))
+    if fault == "staged":
+        node, error = leaf([7, 9], 2), NotFoundError
+    elif fault == "absent":
+        node, error = leaf([8], 2), NotFoundError
+    else:
+        node, error = leaf([5, 6, 9], 2), InvalidBlockError   # three keys overfill alpha 2
+    before = store.stats()
+    with pytest.raises(error):
+        store.rewrite(node)
+    assert store.stats() == before
+    assert {l: b.keys for l, b in store.blocks.items()} == {5: [5]}
+    assert {l: b.keys for l, b in store.aux.items()} == {7: [7]}
 
 
 def test_pin_release_cycle():
@@ -211,6 +251,24 @@ def test_image_alpha_out_of_range_names_field(alpha):
         parse_image(_empty_image(alpha))
     with pytest.raises(FormatError, match="alpha"):
         Tree.from_image_bytes(_empty_image(alpha))
+
+
+@pytest.mark.parametrize("fault", ["root-without-presence", "presence-2"])
+def test_image_root_fields_are_canonical(fault):
+    # without these checks both images load and re-pack to other bytes
+    at = struct.calcsize("<4sHHIQQ")   # root_present (u8), then root (u64)
+    if fault == "root-without-presence":
+        raw = bytearray(Tree.empty(Params(2, 2)).image())
+        struct.pack_into("<Q", raw, at + 1, 77)
+        why = "bad root 77: root_present is 0"
+    else:
+        tree = Tree.empty(Params(2, 2))
+        insert(tree, 5)
+        raw = bytearray(tree.image())
+        raw[at] = 2
+        why = "bad root_present 2: not 0 or 1"
+    with pytest.raises(FormatError, match=why):
+        Tree.from_image_bytes(bytes(raw))
 
 
 def test_image_largest_alpha_loads():
