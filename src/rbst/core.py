@@ -145,8 +145,13 @@ def successor(tree: Tree, q: int):
         if node.fanout <= 1:
             child = node.children[0]
             store.release(cur)
-            cur = child.label if child is not None else None
-            continue
+            if child is not None:
+                for wave in store.read_chain(child.label):
+                    keys = wave.keys
+                    i = bisect_left(keys, q)
+                    if i < len(keys) and (best is None or keys[i] < best):
+                        best = keys[i]
+            return best
         seps = active_separators(node, prio)
         child = node.children[bisect_right(seps, q)]
         store.release(cur)
@@ -203,11 +208,9 @@ def range_count(tree: Tree, lo: int, hi: int) -> int:
         if node.fanout <= 1:
             child = node.children[0]
             store.release(label)
-            while child is not None:
-                nxt = store.read(child.label)
-                total += bisect_right(nxt.keys, hi) - bisect_left(nxt.keys, lo)
-                label, child = child.label, nxt.children[0]
-                store.release(label)
+            if child is not None:
+                for wave in store.read_chain(child.label):
+                    total += bisect_right(wave.keys, hi) - bisect_left(wave.keys, lo)
             continue
         seps = active_separators(node, prio)
         bounds = [ilo] + seps + [ihi]
@@ -230,14 +233,12 @@ def select_kth(tree: Tree, k: int) -> int:
     while True:
         node = store.read(label)
         if node.fanout <= 1:
-            keys = sorted(node.keys + extras)
+            keys = node.keys + extras
             child = node.children[0]
             store.release(label)
-            while child is not None:
-                nxt = store.read(child.label)
-                keys.extend(nxt.keys)
-                label, child = child.label, nxt.children[0]
-                store.release(label)
+            if child is not None:
+                for wave in store.read_chain(child.label):
+                    keys.extend(wave.keys)
             keys.sort()
             return keys[k - 1]
         seps = active_separators(node, prio)
@@ -271,10 +272,12 @@ def scan_keys(store: BlockStore, prio, root_label: int, lo: int, hi: int,
 
     Pre-order on an explicit stack of pending labels: each block is read
     once and released before the next is read, so one block is pinned at a
-    time and the stack holds O(depth * alpha) labels.  Child intervals are
-    derived from the visited block's own keys; missing outer bounds widen
-    the test, which never adds spurious visits because a visited parent
-    already overlaps (lo, hi).
+    time and the stack holds O(depth * alpha) labels.  The chain below a
+    block of fan-out 1 is read to its end through `store.read_chain`, one
+    counted read and one pin per block, before the next pending label is
+    popped.  Child intervals are derived from the visited block's own keys;
+    missing outer bounds widen the test, which never adds spurious visits
+    because a visited parent already overlaps (lo, hi).
 
     on_key(key) runs for every stored key in (lo, hi) not in exclude, in
     pre-order and ascending within a block; on_block(label, node) runs once
@@ -294,16 +297,25 @@ def scan_keys(store: BlockStore, prio, root_label: int, lo: int, hi: int,
                 if key not in excl:
                     on_key(key)
         if node.fanout <= 1:
-            if node.children[0] is not None:
-                stack.append(node.children[0].label)
-        else:
-            seps = active_separators(node, prio)
-            bounds = [NEG_INF] + seps + [POS_INF]
-            # reverse slot order, so the leftmost child is visited next
-            for i in range(len(seps), -1, -1):
-                child = node.children[i]
-                if child is not None and bounds[i] < hi and bounds[i + 1] > lo:
-                    stack.append(child.label)
+            child = node.children[0]
+            store.release(label)
+            if child is not None:
+                for node in store.read_chain(child.label):
+                    if on_block is not None:
+                        on_block(node.label, node)
+                    if on_key is not None:
+                        keys = node.keys
+                        for key in keys[bisect_right(keys, lo): bisect_left(keys, hi)]:
+                            if key not in excl:
+                                on_key(key)
+            continue
+        seps = active_separators(node, prio)
+        bounds = [NEG_INF] + seps + [POS_INF]
+        # reverse slot order, so the leftmost child is visited next
+        for i in range(len(seps), -1, -1):
+            child = node.children[i]
+            if child is not None and bounds[i] < hi and bounds[i + 1] > lo:
+                stack.append(child.label)
         store.release(label)
 
 

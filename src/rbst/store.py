@@ -8,7 +8,8 @@ because every update commits what it stages at that site before it stages
 anything at another.  Every block access goes through read/write calls
 that bump the counters; reads pin the block until the caller releases it,
 so peak_pinned measures how many blocks an algorithm really holds in main
-memory at once.
+memory at once.  A walk down a chain (fan-out 1) reads through read_chain:
+one counted read per block, one pin held at a time, without a release call.
 
 Image file format (all integers little-endian):
 
@@ -84,6 +85,29 @@ class BlockStore:
             stats.peak_pinned = stats.cur_pinned
         return node
 
+    def read_chain(self, label: int):
+        """Counted reads of the chain from `label` down through slot 0, yielded in order.
+
+        One read per block and one pin, held while the caller is on a block
+        and dropped however the walk ends: run out, left early or raising.
+        """
+        blocks, stats = self.blocks, self._stats
+        stats.cur_pinned += 1
+        stats.peak_pinned = max(stats.peak_pinned, stats.cur_pinned)
+        try:
+            while True:
+                try:
+                    node = blocks[label]
+                except KeyError:
+                    raise NotFoundError(f"block label {label} not found") from None
+                stats.reads += 1
+                yield node
+                if node.children[0] is None:
+                    return
+                label = node.children[0].label
+        finally:
+            stats.cur_pinned -= 1
+
     def peek(self, label: int) -> BlockNode:
         """Uncounted access for the invariant checker, the oracle and tests only.
 
@@ -156,8 +180,10 @@ class BlockStore:
         return replace(self._stats)
 
     def reset_stats(self) -> None:
-        cur = self._stats.cur_pinned
-        self._stats = IoStats(cur_pinned=cur, peak_pinned=cur)
+        """Zero the counters in place, so a chain walk under way keeps counting into them."""
+        s = self._stats
+        s.reads = s.writes = s.allocs = s.frees = 0
+        s.peak_pinned = s.cur_pinned
 
     # -- images -------------------------------------------------------
 

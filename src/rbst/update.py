@@ -411,18 +411,18 @@ def _run_anchor(ctx: _Ctx, node: BlockNode, lo: int, hi: int, n_new: int,
 def _rewave(ctx: _Ctx, node: BlockNode, keys: list[int]) -> None:
     """Rewrite the chain from `node` down with `keys` (by priority) in place of its array.
 
-    `keys` rank below the waves under `node`, which are read once each,
-    released at once and marked obsolete.  Their keys, at most alpha + rho + 1
-    with `keys`, are ranked in one call and re-cut into waves after `keys`.
+    `keys` rank below the waves under `node`, which are read once each
+    through `read_chain`, one pinned at a time, and marked obsolete.  Their
+    keys, at most alpha + rho + 1 with `keys`, are ranked in one call and
+    re-cut into waves after `keys`.
     """
     ctx.mark_obsolete(node.label, node)
     tail: list[int] = []
     below = node.children[0]
-    while below is not None:
-        nxt = ctx.read(below.label)
-        ctx.mark_obsolete(below.label, nxt)
-        tail += nxt.keys
-        below = nxt.children[0]
+    if below is not None:
+        for wave in ctx.store.read_chain(below.label):
+            ctx.mark_obsolete(wave.label, wave)
+            tail += wave.keys
     keys = keys + _by_priority(ctx.prio, tail)
     ctx.relabels[node.label] = _waves(keys, ctx.alpha, node.parent, node.depth, ctx.stage)
     ctx.commit_site()
@@ -573,53 +573,61 @@ def _finish(ctx: _Ctx, op: str, key: int, before, delta: int) -> UpdateReceipt:
 
 
 def _update(tree: Tree, key: int, op: str) -> UpdateReceipt:
-    """Greedy top-down descent that rebuilds at the blocks `_classify` picks."""
+    """Greedy top-down descent that rebuilds at the blocks `_classify` picks.
+
+    An update that raises discards what it staged and did not commit, so no
+    later commit promotes it; only a corrupt tree raises after a stage.
+    """
     _check_update(tree, key, op)
-    before = tree.store.stats()
-    ctx = _Ctx(tree)
-    delta = 1 if op == "insert" else -1
-    if tree.root is None:
-        _stage_leaf(ctx, key, None, 0)
-        tree.root = key
-        return _finish(ctx, op, key, before, delta)
-    pi_x = tree.prio.priority(key) if op == "insert" else None
-    cur, n_sub, lo, hi = tree.root, tree.n, NEG_INF, POS_INF
-    while True:
-        node = ctx.read(cur)
-        if op == "insert" and key in node.keys:
-            raise DuplicateKeyError(f"key {key} already present")
-        step = _classify(tree, node, n_sub, key, pi_x, op)
-        if step is None:
-            slot, child, lo, hi = _follow(node, tree.prio, key, lo, hi)
-            if child is None:
-                if op == "delete":
-                    raise MissingKeyError(f"key {key} not present")
-                _stage_leaf(ctx, key, node.label, node.depth + 1)
+    try:
+        before = tree.store.stats()
+        ctx = _Ctx(tree)
+        delta = 1 if op == "insert" else -1
+        if tree.root is None:
+            _stage_leaf(ctx, key, None, 0)
+            tree.root = key
+            return _finish(ctx, op, key, before, delta)
+        pi_x = tree.prio.priority(key) if op == "insert" else None
+        cur, n_sub, lo, hi = tree.root, tree.n, NEG_INF, POS_INF
+        while True:
+            node = ctx.read(cur)
+            if op == "insert" and key in node.keys:
+                raise DuplicateKeyError(f"key {key} already present")
+            step = _classify(tree, node, n_sub, key, pi_x, op)
+            if step is None:
+                slot, child, lo, hi = _follow(node, tree.prio, key, lo, hi)
+                if child is None:
+                    if op == "delete":
+                        raise MissingKeyError(f"key {key} not present")
+                    _stage_leaf(ctx, key, node.label, node.depth + 1)
+                    ctx.path.append((node.label, slot))
+                    break
                 ctx.path.append((node.label, slot))
+                cur, n_sub = child.label, child.weight
+                continue
+            case, new_arr, adds, removes, key_below = step
+            ctx.cases.append(case)
+            if case == CASE_LIST_INSERT:
+                _list_insert(ctx, node, key)
                 break
+            if case == CASE_LIST_DELETE:
+                _list_delete(ctx, node, key)
+                break
+            if key_below is not None and not ctx.freed:
+                # a fan-out anchor commits before the descent below it could
+                # refuse the key, so the first one settles membership by search
+                _check_membership(tree, key, op)
+            cont = _run_anchor(ctx, node, lo, hi, n_sub + delta, new_arr,
+                               adds, removes, key_below, op)
+            if cont is None:
+                break
+            slot, ref, lo, hi = cont
             ctx.path.append((node.label, slot))
-            cur, n_sub = child.label, child.weight
-            continue
-        case, new_arr, adds, removes, key_below = step
-        ctx.cases.append(case)
-        if case == CASE_LIST_INSERT:
-            _list_insert(ctx, node, key)
-            break
-        if case == CASE_LIST_DELETE:
-            _list_delete(ctx, node, key)
-            break
-        if key_below is not None and not ctx.freed:
-            # a fan-out anchor commits before the descent below it could
-            # refuse the key, so the first one settles membership by search
-            _check_membership(tree, key, op)
-        cont = _run_anchor(ctx, node, lo, hi, n_sub + delta, new_arr,
-                           adds, removes, key_below, op)
-        if cont is None:
-            break
-        slot, ref, lo, hi = cont
-        ctx.path.append((node.label, slot))
-        cur, n_sub = ref.label, ref.weight
-    return _finish(ctx, op, key, before, delta)
+            cur, n_sub = ref.label, ref.weight
+        return _finish(ctx, op, key, before, delta)
+    except BaseException:
+        tree.store.aux.clear()
+        raise
 
 
 def insert(tree: Tree, key: int) -> UpdateReceipt:

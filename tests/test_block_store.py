@@ -191,6 +191,63 @@ def test_reset_stats_preserves_pins():
     store.release(5)
 
 
+def _chain_store(length: int, alpha: int = 2) -> BlockStore:
+    """One chain of `length` one-key waves labelled 1..length, head 1."""
+    store = BlockStore(alpha)
+    for label in range(1, length + 1):
+        store.blocks[label] = leaf([label], alpha)
+        if label < length:
+            store.blocks[label].children[0] = ChildRef(label + 1, length - label)
+    return store
+
+
+def test_read_chain_reads_each_block_once_under_one_pin():
+    store = _chain_store(5)
+    seen = []
+    for node in store.read_chain(1):
+        seen.append(node.label)
+        assert store.stats().cur_pinned == 1
+    s = store.stats()
+    assert seen == [1, 2, 3, 4, 5]
+    assert (s.reads, s.cur_pinned, s.peak_pinned) == (5, 0, 1)
+
+
+def test_read_chain_unpins_when_left_early_or_raising():
+    store = _chain_store(5)
+    for node in store.read_chain(1):
+        if node.label == 3:
+            break
+    assert store.stats().reads == 3 and store.stats().cur_pinned == 0
+    with pytest.raises(RuntimeError, match="walk body"):
+        for node in store.read_chain(2):
+            if node.label == 4:
+                raise RuntimeError("walk body")
+    s = store.stats()
+    assert (s.reads, s.cur_pinned, s.peak_pinned) == (6, 0, 1)
+
+
+def test_read_chain_to_a_missing_label_counts_the_reads_made():
+    store = _chain_store(5)
+    del store.blocks[4]
+    seen = []
+    with pytest.raises(NotFoundError, match="block label 4 not found"):
+        for node in store.read_chain(1):
+            seen.append(node.label)
+    s = store.stats()
+    assert seen == [1, 2, 3]
+    assert (s.reads, s.cur_pinned, s.peak_pinned) == (3, 0, 1)
+
+
+def test_reset_stats_during_a_chain_walk_keeps_counting():
+    store = _chain_store(5)
+    for node in store.read_chain(1):
+        if node.label == 2:
+            store.reset_stats()
+            assert store.stats().cur_pinned == 1
+    s = store.stats()
+    assert (s.reads, s.cur_pinned, s.peak_pinned) == (3, 0, 1)
+
+
 def test_stats_monotone_between_snapshots():
     store = BlockStore(2)
     store.blocks[5] = leaf([5], 2)

@@ -318,12 +318,17 @@ def _preorder(store, prio, label, lo, hi, out):
             _preorder(store, prio, child.label, lo, hi, out)
 
 
-@pytest.mark.parametrize("case", range(24))
-def test_scan_reads_each_block_once_in_preorder(case):
+def _grid_tree(case: int):
+    """(rng, keys, tree) of one case of the 24-case query grid, rng past the draws."""
     rng = random.Random(case + 300)
     params = Params(case % 4 + 1, rng.choice([0, 1, 2, 4, 30]))
     keys = rng.sample(range(1 << 20), rng.randrange(1, 300))
-    tree = oracle_tree(keys, HashedPriority(case), params)
+    return rng, keys, oracle_tree(keys, HashedPriority(case), params)
+
+
+@pytest.mark.parametrize("case", range(24))
+def test_scan_reads_each_block_once_in_preorder(case):
+    rng, _, tree = _grid_tree(case)
     store = tree.store
     ranges = [(NEG_INF, POS_INF)] + [sorted(rng.sample(range(-1, (1 << 20) + 1), 2))
                                      for _ in range(10)]
@@ -360,10 +365,8 @@ def _search_path(store, prio, root, q):
 def test_search_path_profile_counts_the_search_path(case):
     # the grid of test_scan_reads_each_block_once_in_preorder; q is unstored:
     # random, a stored key's neighbour, or an end of the key space
-    rng = random.Random(case + 300)
-    params = Params(case % 4 + 1, rng.choice([0, 1, 2, 4, 30]))
-    keys = rng.sample(range(1 << 20), rng.randrange(1, 300))
-    tree = oracle_tree(keys, HashedPriority(case), params)
+    rng, keys, tree = _grid_tree(case)
+    params = tree.params
     store, full = tree.store, params.alpha + 1
     stored = set(keys)
     near = [k + d for k in rng.sample(keys, min(10, len(keys))) for d in (-1, 1)]
@@ -376,3 +379,71 @@ def test_search_path_profile_counts_the_search_path(case):
         assert store.stats().reads == len(path)
         assert store.stats().peak_pinned == 1
     assert search_path_profile(Tree.empty(params), 5) == (0, 0)
+
+
+def _read_log(store) -> list[int]:
+    """Labels of the blocks `store` reads from now on, in read order, chain reads included."""
+    log: list[int] = []
+    read, read_chain = store.read, store.read_chain
+
+    def logged_read(label):
+        log.append(label)
+        return read(label)
+
+    def logged_chain(label):
+        for node in read_chain(label):
+            log.append(node.label)
+            yield node
+
+    store.read, store.read_chain = logged_read, logged_chain
+    return log
+
+
+@pytest.mark.parametrize("case", range(24))
+def test_queries_read_each_block_once(case):
+    # a successor reads its search path, a range report the blocks whose
+    # interval meets (lo - 1, hi + 1) in pre-order: each once, one pinned at a time
+    rng, keys, tree = _grid_tree(case)
+    store, prio = tree.store, tree.prio
+    qs = [rng.randrange(1 << 20) for _ in range(10)] + rng.sample(keys, min(5, len(keys)))
+    ranges = [sorted(rng.sample(range(1 << 20), 2)) for _ in range(10)] + [(0, MASK64)]
+    log = _read_log(store)
+    for q in qs + [0, MASK64]:
+        want = _search_path(store, prio, tree.root, q)
+        store.reset_stats()
+        log.clear()
+        assert successor(tree, q) == min((k for k in keys if k >= q), default=None)
+        assert log == want
+        s = store.stats()
+        assert (s.reads, s.peak_pinned, s.cur_pinned) == (len(want), 1, 0)
+    for lo, hi in ranges:
+        want = []
+        _preorder(store, prio, tree.root, lo - 1, hi + 1, want)
+        store.reset_stats()
+        log.clear()
+        assert range_report(tree, lo, hi) == sorted(k for k in keys if lo <= k <= hi)
+        assert log == want
+        s = store.stats()
+        assert (s.reads, s.peak_pinned, s.cur_pinned) == (len(want), 1, 0)
+
+
+def test_rank_query_reads_are_frozen():
+    # total reads of 240 range counts and 240 selections over the query grid,
+    # recorded before chain walks went through read_chain: a chain walk that
+    # skips or double-counts a block moves them
+    count_reads = select_reads = 0
+    for case in range(24):
+        rng, keys, tree = _grid_tree(case)
+        store, ranked = tree.store, sorted(keys)
+        store.reset_stats()
+        for _ in range(10):
+            lo, hi = sorted(rng.sample(range(1 << 20), 2))
+            assert range_count(tree, lo, hi) == sum(1 for k in keys if lo <= k <= hi)
+        count_reads += store.stats().reads
+        store.reset_stats()
+        for _ in range(10):
+            k = rng.randrange(1, len(keys) + 1)
+            assert select_kth(tree, k) == ranked[k - 1]
+        select_reads += store.stats().reads
+        assert store.stats().peak_pinned == 1 and store.stats().cur_pinned == 0
+    assert (count_reads, select_reads) == (2882, 1630)

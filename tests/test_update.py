@@ -7,7 +7,9 @@ import pytest
 import rbst.update as upd
 from rbst import BlockStore, Params, Tree, check_invariants, delete, fanout_bound, insert
 from rbst.core import active_separators
-from rbst.errors import DuplicateKeyError, InvalidPermutationError, MissingKeyError, RbstError
+from rbst.errors import (
+    DuplicateKeyError, InvalidPermutationError, MissingKeyError, NotFoundError, RbstError,
+)
 from rbst.oracle import oracle_build, oracle_tree
 from rbst.priority import MASK64, ExplicitPriority, HashedPriority
 from rbst.store import parse_image
@@ -436,14 +438,21 @@ def test_chain_rebuild_reads_linear(rho):
 def test_rebuild_reads_each_block_once(alpha, rho, monkeypatch):
     # a partial rebuild gathers its section with one pass over the old
     # subtrees: no block is read twice in one rebuild, and every block it
-    # reads is one the update frees
+    # reads is one the update frees; chain blocks are read through read_chain
     calls, reads = [], None
-    store_read, build_fresh = BlockStore.read, upd._build_fresh
+    store_read, store_read_chain = BlockStore.read, BlockStore.read_chain
+    build_fresh = upd._build_fresh
 
     def read(store, label):
         if reads is not None:
             reads.append(label)
         return store_read(store, label)
+
+    def read_chain(store, label):
+        for node in store_read_chain(store, label):
+            if reads is not None:
+                reads.append(node.label)
+            yield node
 
     def watched(ctx, *args):
         nonlocal reads
@@ -455,6 +464,7 @@ def test_rebuild_reads_each_block_once(alpha, rho, monkeypatch):
             reads = None
 
     monkeypatch.setattr(BlockStore, "read", read)
+    monkeypatch.setattr(BlockStore, "read_chain", read_chain)
     monkeypatch.setattr(upd, "_build_fresh", watched)
     rng = random.Random(alpha * 10 + rho)
     present = rng.sample(range(1 << 26), 300)
@@ -472,6 +482,29 @@ def test_rebuild_reads_each_block_once(alpha, rho, monkeypatch):
     for labels, obsolete in calls:
         assert len(labels) == len(set(labels)), sorted(labels)
         assert set(labels) <= obsolete
+
+
+def test_update_that_raises_leaves_nothing_staged():
+    # a tree whose deepest leaf is gone from the store: an insert that stages
+    # blocks and then reads the missing label raises NotFoundError, and what it
+    # staged must not reach the next update's commit, which would promote it
+    # or refuse it with CorruptionError
+    rng = random.Random(0)
+    tree = Tree.empty(Params(4, 2), seed=0)
+    for k in rng.sample(range(1 << 20), 400):
+        insert(tree, k)
+    blocks = tree.store.blocks
+    del blocks[max(blocks, key=lambda label: (blocks[label].depth, label))]
+    raised = []
+    for k in rng.sample(range(1 << 20), 300):
+        before = tree.store.stats()
+        try:
+            insert(tree, k)
+        except NotFoundError:
+            after = tree.store.stats()
+            raised.append(after.allocs - before.allocs)
+            assert not tree.store.aux and after.cur_pinned == 0
+    assert raised[0] > 0 and len(raised) > 1
 
 
 @pytest.mark.parametrize("case", range(12))
