@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -330,33 +331,46 @@ class InvariantReport:
     violations: list[str]
 
 
-class _PriorityTable(dict):
-    """Every stored u64 key's priority, ranked by one `prio.ranks` call; other
-    keys (all keys, if `prio` refuses the batch) are hashed on first lookup.
-    `priority` is the dict lookup itself, so sorts, min and max stay in C."""
+def _block_extremes(prio, blocks) -> dict:
+    """Store label -> (minimum-priority key, maximum priority) of each block whose keys
+    lie in u64, from one `prio.ranks` call and two segment reductions over the
+    blocks' offsets; a rank tie goes to a block's first key for the minimum and its
+    last for the maximum.  Empty if `prio` refuses the batch."""
+    batch = {label: node.keys for label, node in blocks.items() if node.keys}
+    try:
+        keys = np.fromiter(chain.from_iterable(batch.values()), np.uint64)
+    except OverflowError:                              # a key outside u64: leave its block out
+        batch = {l: ks for l, ks in batch.items() if 0 <= min(ks) <= max(ks) <= MASK64}
+        keys = np.fromiter(chain.from_iterable(batch.values()), np.uint64)
+    try:
+        ranks = prio.ranks(keys)
+    except RbstError:
+        return {}
+    sizes = np.fromiter(map(len, batch.values()), np.intp, len(batch))
+    starts = np.cumsum(sizes) - sizes
+    low, high = np.minimum.reduceat(ranks, starts), np.maximum.reduceat(ranks, starts)
+    at_low = np.flatnonzero(ranks == np.repeat(low, sizes))
+    at_high = np.flatnonzero(ranks == np.repeat(high, sizes))
+    first = keys[at_low[np.searchsorted(at_low, starts)]].tolist()
+    last = keys[at_high[np.searchsorted(at_high, starts + sizes) - 1]].tolist()
+    return dict(zip(batch, zip(first, zip(high.tolist(), last))))
 
-    priority = dict.__getitem__
 
-    def __init__(self, prio, blocks):
-        self._prio = prio
-        keys = [k for node in blocks.values() for k in node.keys if 0 <= k <= MASK64]
-        try:
-            ranks = prio.ranks(np.array(keys, dtype=np.uint64)).tolist()
-        except RbstError:
-            return
-        super().__init__(zip(keys, zip(ranks, keys)))
-
-    def __missing__(self, key):
-        p = self[key] = self._prio.priority(key)
-        return p
+_VISIT, _SLOT, _CLOSE = range(3)
 
 
 def check_invariants(tree: Tree) -> InvariantReport:
     """Verify every structural invariant; violations are data, not errors.
 
-    Priorities come from a `_PriorityTable` built afresh from the stored keys."""
-    store, params = tree.store, tree.params
-    prio = _PriorityTable(tree.prio, store.blocks)
+    One explicit stack of frames walks the tree in pre-order (chains can
+    outgrow the recursion limit).  A visit frame checks one block; a slot
+    frame runs a fan-out block's per-slot checks from one slot on, once the
+    earlier slots' subtrees are done; a close frame compares a slot's weight
+    with the keys counted since its child was opened, on one running count.
+    Each block's minimum-priority key and maximum priority come from
+    `_block_extremes`, or from `tree.prio` for a block it leaves out (where an
+    unranked key raises), as do child labels' priorities and separators."""
+    params, prio, blocks = tree.params, tree.prio, tree.store.blocks
     alpha = params.alpha
     bad: list[str] = []
     seen: set[int] = set()
@@ -364,110 +378,106 @@ def check_invariants(tree: Tree) -> InvariantReport:
     if tree.root is None:
         if tree.n != 0:
             bad.append(f"tree: n={tree.n} with no root")
-        if store.blocks:
-            bad.append(f"store: {len(store.blocks)} blocks with no root")
+        if blocks:
+            bad.append(f"store: {len(blocks)} blocks with no root")
         return InvariantReport(not bad, bad)
     if tree.n == 0:
         bad.append("tree: n=0 with a root present")
-
-    def visit(label: int, weight: int, parent: int | None, depth: int, lo: int, hi: int):
-        """Appends one block's violations.  A generator, run on an explicit stack
-        because chains can outgrow the recursion limit: yields the arguments
-        of each child's visit, is sent back its true count, returns its own."""
-        if label in seen:
-            bad.append(f"block {label}: reachable twice")
-            return 0
-        seen.add(label)
-        node = store.peek(label) if label in store.blocks else None
-        if node is None:
-            bad.append(f"block {label}: dangling reference")
-            return 0
-        local = node.local_violation(alpha)
-        if local:
-            bad.append(local)
-            return len(node.keys)
-        if node.parent != parent:
-            bad.append(f"block {label}: parent {node.parent}, want {parent}")
-        if node.depth != depth:
-            bad.append(f"block {label}: depth {node.depth}, want {depth}")
-        if min(node.keys, key=prio.priority) != label:
-            bad.append(f"block {label}: label is not the minimum-priority key")
-        # the keys ascend (local_violation), so the ends decide; the loop names a fault
-        if not (lo < node.keys[0] and node.keys[-1] < hi):
-            for key in node.keys:
-                if not lo < key < hi:
-                    bad.append(f"block {label}: key {key} outside interval ({lo},{hi})")
-        if node.fanout != fanout_bound(weight, params):
-            bad.append(
-                f"block {label}: fanout_state {node.fanout}, "
-                f"want {fanout_bound(weight, params)} for weight {weight}"
-            )
-        if weight >= alpha and len(node.keys) != alpha:
-            bad.append(f"block {label}: {len(node.keys)} keys in a subtree of {weight}")
-        if weight < alpha and len(node.keys) != weight:
-            bad.append(f"block {label}: {len(node.keys)} keys, want {weight}")
-        p_max = max(map(prio.priority, node.keys))
-        count = len(node.keys)
-
-        if node.fanout <= 1:
-            for i, child in enumerate(node.children):
-                if i > 0 and child is not None:
-                    bad.append(f"block {label}: chain block uses slot {i}")
-            child = node.children[0]
-            if child is not None:
-                if weight <= alpha:
-                    bad.append(f"block {label}: chain continues below weight {weight}")
-                if prio.priority(child.label) <= p_max:
-                    bad.append(f"block {label}: chain priorities not ascending")
-                if child.weight != weight - len(node.keys):
-                    bad.append(
-                        f"block {label}: chain weight {child.weight}, "
-                        f"want {weight - len(node.keys)}"
-                    )
-                count += yield child.label, child.weight, label, depth + 1, lo, hi
-            elif weight > alpha:
-                bad.append(f"block {label}: missing chain for weight {weight}")
-        else:
-            seps = active_separators(node, prio)
-            bounds = [lo] + seps + [hi]
-            for i, child in enumerate(node.children):
+    if tree.root not in blocks:
+        bad.append(f"tree: root label {tree.root} not in store")
+        return InvariantReport(False, bad)
+    table, counted = _block_extremes(prio, blocks), 0
+    # (_VISIT, label, weight, parent, depth, lo, hi), (_CLOSE, parent, label, weight,
+    # count at opening), (_SLOT, label, node, first slot, bounds, max priority, weight, depth)
+    stack = [(_VISIT, tree.root, tree.n, None, 0, NEG_INF, POS_INF)]
+    while stack:
+        frame = stack.pop()
+        if frame[0] == _CLOSE:
+            _, parent, label, weight, opened = frame
+            if counted - opened != weight:
+                bad.append(f"block {parent}: slot weight {weight} for child {label}, "
+                           f"true count {counted - opened}")
+            continue
+        if frame[0] == _SLOT:
+            _, label, node, first, bounds, p_max, weight, depth = frame
+            for i in range(first, alpha + 1):
+                child = node.children[i]
                 if child is None:
                     continue
-                if i > len(seps):
+                if i >= len(bounds) - 1:
                     bad.append(f"block {label}: child slot {i} beyond fanout {node.fanout}")
                     continue
                 if weight <= alpha:
                     bad.append(f"block {label}: child below a subtree of weight {weight}")
                     continue
                 if prio.priority(child.label) <= p_max:
-                    bad.append(
-                        f"block {label}: child {child.label} has priority below the array"
-                    )
-                count += yield (child.label, child.weight, label, depth + 1,
-                                bounds[i], bounds[i + 1])
-        return count
-
-    root_node = store.peek(tree.root) if tree.root in store.blocks else None
-    if root_node is None:
-        bad.append(f"tree: root label {tree.root} not in store")
-        return InvariantReport(False, bad)
-    stack, total = [(visit(tree.root, tree.n, None, 0, NEG_INF, POS_INF), None)], None
-    while stack:
-        walker, args = stack[-1]
-        try:
-            child = walker.send(total)
-        except StopIteration as done:
-            stack.pop()
-            total = done.value
-            if args is not None and total != args[1]:
-                bad.append(f"block {args[2]}: slot weight {args[1]} for child "
-                           f"{args[0]}, true count {total}")
+                    bad.append(f"block {label}: child {child.label} has priority below the array")
+                stack += ((_SLOT, label, node, i + 1, bounds, p_max, weight, depth),
+                          (_CLOSE, label, child.label, child.weight, counted),
+                          (_VISIT, child.label, child.weight, label, depth + 1,
+                           bounds[i], bounds[i + 1]))
+                break
             continue
-        stack.append((visit(*child), child))
-        total = None
-    if total != tree.n:
-        bad.append(f"tree: {total} keys reachable, header says {tree.n}")
-    stray = set(store.blocks) - seen
+        _, label, weight, parent, depth, lo, hi = frame
+        if label in seen:
+            bad.append(f"block {label}: reachable twice")
+            continue
+        seen.add(label)
+        node = blocks.get(label)
+        if node is None:
+            bad.append(f"block {label}: dangling reference")
+            continue
+        keys = node.keys
+        counted += len(keys)
+        local = node.local_violation(alpha)
+        if local:
+            bad.append(local)
+            continue
+        if node.parent != parent:
+            bad.append(f"block {label}: parent {node.parent}, want {parent}")
+        if node.depth != depth:
+            bad.append(f"block {label}: depth {node.depth}, want {depth}")
+        if node.label != label:
+            bad.append(f"block {label}: label field {node.label}")
+        low, p_max = table.get(label) or (min(keys, key=prio.priority),
+                                          max(map(prio.priority, keys)))
+        if low != label:
+            bad.append(f"block {label}: label is not the minimum-priority key")
+        # the keys ascend (local_violation), so the ends decide; the loop names a fault
+        if not (lo < keys[0] and keys[-1] < hi):
+            for key in keys:
+                if not lo < key < hi:
+                    bad.append(f"block {label}: key {key} outside interval ({lo},{hi})")
+        if node.fanout != fanout_bound(weight, params):
+            bad.append(f"block {label}: fanout_state {node.fanout}, "
+                       f"want {fanout_bound(weight, params)} for weight {weight}")
+        if weight >= alpha and len(keys) != alpha:
+            bad.append(f"block {label}: {len(keys)} keys in a subtree of {weight}")
+        if weight < alpha and len(keys) != weight:
+            bad.append(f"block {label}: {len(keys)} keys, want {weight}")
+
+        if node.fanout > 1:
+            bounds = [lo] + active_separators(node, prio) + [hi]
+            stack.append((_SLOT, label, node, 0, bounds, p_max, weight, depth))
+            continue
+        if any(node.children[1:]):
+            bad.extend(f"block {label}: chain block uses slot {i}"
+                       for i, child in enumerate(node.children) if i and child is not None)
+        child = node.children[0]
+        if child is not None:
+            if weight <= alpha:
+                bad.append(f"block {label}: chain continues below weight {weight}")
+            if prio.priority(child.label) <= p_max:
+                bad.append(f"block {label}: chain priorities not ascending")
+            if child.weight != weight - len(keys):
+                bad.append(f"block {label}: chain weight {child.weight}, want {weight - len(keys)}")
+            stack += ((_CLOSE, label, child.label, child.weight, counted),
+                      (_VISIT, child.label, child.weight, label, depth + 1, lo, hi))
+        elif weight > alpha:
+            bad.append(f"block {label}: missing chain for weight {weight}")
+    if counted != tree.n:
+        bad.append(f"tree: {counted} keys reachable, header says {tree.n}")
+    stray = set(blocks) - seen
     if stray:
         bad.append(f"store: unreachable blocks {sorted(stray)[:5]}")
     return InvariantReport(not bad, bad)

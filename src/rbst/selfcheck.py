@@ -109,11 +109,17 @@ def _drop_fanout(node) -> None:
     node.fanout -= 1
 
 
+def _relabel(node) -> None:
+    node.label = next(k for k in node.keys if k != node.label)
+
+
 # (fault, which block gets it, corruption); the first matching block by label
 _FAULTS = [
     ("corrupted child weight", _has_child, _bump_weight),
     ("unsorted keys", lambda b: len(b.keys) > 1, lambda b: b.keys.reverse()),
     ("wrong fan-out state", lambda b: b.fanout > 1 and _has_child(b), _drop_fanout),
+    ("label field not the store label", lambda b: len(b.keys) > 1 and not _has_child(b),
+     _relabel),
 ]
 
 
@@ -130,7 +136,7 @@ def check_fault_injection():
         rep = check_invariants(t)
         if rep.ok or not any(f"block {label}" in v for v in rep.violations):
             return ("fault-injection", False, f"{fault} in block {label} not named")
-    return ("fault-injection", True, "corrupt weight, key order, and fan-out all named")
+    return ("fault-injection", True, "corrupt weight, key order, fan-out and label field all named")
 
 
 def check_image_roundtrip():

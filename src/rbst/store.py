@@ -109,9 +109,9 @@ class BlockStore:
             stats.cur_pinned -= 1
 
     def peek(self, label: int) -> BlockNode:
-        """Uncounted access for the invariant checker, the oracle and tests only.
-
-        No update calls it: every block an update touches goes through read.
+        """Uncounted access for the oracle and tests only (the invariant checker reads
+        `blocks` directly).  No update calls it: every block an update touches goes
+        through read.
         """
         return self._lookup(label)
 

@@ -228,14 +228,19 @@ def _assemble(params: Params, keys: list[int], parent: int | None, depth: int):
 def _by_priority(prio, keys) -> list[int]:
     """`keys` (ints or a uint64 array) as ints in ascending priority.
 
-    Ranked in one numpy call from `_NUMPY_FROM` keys on.
+    Ranked in one numpy call from `_NUMPY_FROM` keys on, and sorted by rank
+    alone unless two ranks tie, when the key breaks the tie.
     """
     if len(keys) < _NUMPY_FROM:
         if isinstance(keys, np.ndarray):
             keys = keys.tolist()
         return sorted(keys, key=prio.priority)
     arr = np.asarray(keys, dtype=np.uint64)
-    return arr[np.lexsort((arr, prio.ranks(arr)))].tolist()
+    ranks = prio.ranks(arr)
+    order = ranks.argsort()
+    if (ranks[order[1:]] == ranks[order[:-1]]).any():
+        order = np.lexsort((arr, ranks))
+    return arr[order].tolist()
 
 
 def _waves(keys: list[int], alpha: int, parent: int | None, depth: int, emit) -> int | None:

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import json
 import random
@@ -8,13 +9,13 @@ from pathlib import Path
 import pytest
 
 from rbst import (
-    Params, Tree, check_invariants, fanout_bound, range_count,
+    Params, Tree, check_invariants, fanout_bound, insert, range_count,
     range_report, select_kth, successor,
 )
 from rbst.blocks import BlockNode
 from rbst.core import NEG_INF, POS_INF, active_separators, scan_keys, search_path_profile
-from rbst.errors import ConfigError, InvalidRangeError, InvalidRankError
-from rbst.metrics import fast_build
+from rbst.errors import ConfigError, FormatError, InvalidRangeError, InvalidRankError
+from rbst.metrics import fast_build, sample_keys
 from rbst.oracle import oracle_tree
 from rbst.priority import MASK64, ExplicitPriority, HashedPriority
 
@@ -188,6 +189,21 @@ def test_checker_rejects_wrong_depth_and_parent():
     assert not check_invariants(tree).ok
 
 
+def test_checker_names_a_label_field_other_than_the_store_label():
+    # the label field is what a block's image entry records, so with it wrong
+    # the image does not load; the checker must say so first
+    tree = Tree.empty(Params(3, 2), seed=90)
+    for k in random.Random(90).sample(range(100_000), 120):
+        insert(tree, k)
+    label = next(l for l, b in tree.store.blocks.items()
+                 if len(b.keys) > 1 and not any(b.children))
+    node = tree.store.blocks[label]
+    node.label = next(k for k in node.keys if k != label)
+    assert check_invariants(tree).violations == [f"block {label}: label field {node.label}"]
+    with pytest.raises(FormatError):
+        Tree.from_image_bytes(tree.image())
+
+
 @pytest.mark.parametrize("explicit", [False, True], ids=["hashed", "explicit"])
 @pytest.mark.parametrize("reachable", [True, False], ids=["reachable", "unreachable"])
 @pytest.mark.parametrize("key", [-1, 1 << 64], ids=["minus-1", "2^64"])
@@ -231,6 +247,18 @@ def _corrupted_tree(case: int) -> tuple[str, Tree]:
     node = blocks[rng.choice(labels)]
     parent = rng.choice([blocks[l] for l in labels if any(blocks[l].children)])
     slot = rng.choice([i for i, c in enumerate(parent.children) if c is not None])
+    node = _inject(tree, fault, node, parent, slot, rng)
+    if case >= CORPUS_CASES // 2:                     # a second fault, in the same block
+        node.depth += 1
+    kind = "explicit" if explicit else "hashed"
+    return f"{case} a={alpha} rho={rho} {fault} {kind}", tree
+
+
+def _inject(tree: Tree, fault: str, node: BlockNode, parent: BlockNode, slot: int,
+            rng: random.Random) -> BlockNode:
+    """Inject `fault` at `node`, or at `parent`'s child slot `slot`; returns the
+    block it corrupted.  "unreachable" is "stray" or "cut-off", drawn from rng."""
+    blocks, alpha = tree.store.blocks, tree.params.alpha
     fresh = rng.randrange(1 << 30, 1 << 31)           # a label no block has
     if fault.startswith("key="):
         value = {"key=-1": -1, "key=2^64": 1 << 64}.get(fault, rng.randrange(1 << 30))
@@ -245,7 +273,7 @@ def _corrupted_tree(case: int) -> tuple[str, Tree]:
     elif fault == "depth+1":
         node.depth += 1
     elif fault == "wrong-parent":
-        node.parent = rng.choice([l for l in labels if l != node.parent])
+        node.parent = rng.choice([l for l in sorted(blocks) if l != node.parent])
     elif fault == "dangling-child":
         parent.children[slot].label = fresh
     elif fault == "duplicated-child":
@@ -253,14 +281,11 @@ def _corrupted_tree(case: int) -> tuple[str, Tree]:
         parent.children[other] = parent.children[slot]
     elif fault == "n+1":
         tree.n += 1
-    elif rng.random() < 0.5:                          # unreachable: a stray block
+    elif fault == "stray" or fault == "unreachable" and rng.random() < 0.5:
         blocks[fresh] = BlockNode([fresh], [None] * (alpha + 1), None, 0, 1, fresh)
-    else:                                             # unreachable: a cut-off subtree
+    else:                                             # cut-off: a subtree unlinked
         parent.children[slot] = None
-    if case >= CORPUS_CASES // 2:                     # a second fault, in the same block
-        node.depth += 1
-    kind = "explicit" if explicit else "hashed"
-    return f"{case} a={alpha} rho={rho} {fault} {kind}", tree
+    return node
 
 
 def _report_digest(tree: Tree) -> str:
@@ -281,6 +306,50 @@ def test_checker_reports_match_the_golden_corpus():
         if _report_digest(tree) != golden[str(case)]:
             changed.append(name)
     assert not changed, f"{len(changed)} reports changed, first: {changed[:5]}"
+
+
+# Reports on long chains, which the corpus's small trees lack: one n = 20,000
+# fast_build tree per benchmark workload's (alpha, c_rho) at eps = 1/2, and
+# each fault of LONG_FAULTS put about 100 blocks down the chain that the
+# heaviest child slots lead to (or in the fan-out block above it).
+# tests/checker_reports_long.sha256 pins the report digests, recorded before
+# the checker ran on one frame stack.
+LONG_TREES = {"query-a4": (4, 108), "churn-a16": (16, 108), "mixed-a4-c2": (4, 2)}
+LONG_FAULTS = ("weight+1", "depth+1", "wrong-parent", "duplicated-child", "n+1", "stray",
+               "key=random", "key=2^64", "fanout-1", "dangling-child")
+
+
+@functools.cache
+def _long_image(alpha: int, c_rho: int) -> bytes:
+    keys = sample_keys(np.random.default_rng(20), 20_000)
+    return fast_build(keys, HashedPriority(20), Params.of(alpha, 0.5, c_rho)).image()
+
+
+def _long_chain_tree(workload: str, fault: str) -> Tree:
+    tree = Tree.from_image_bytes(_long_image(*LONG_TREES[workload]))
+    blocks = tree.store.blocks
+    fan, block = None, blocks[tree.root]
+    while block.fanout > 1:                           # the heaviest path to a chain head
+        fan = block
+        slot = max((c.weight, i) for i, c in enumerate(fan.children) if c is not None)[1]
+        block = blocks[fan.children[slot].label]
+    for _ in range(100):                              # then down the chain
+        below = block.children[0]
+        if below is None or blocks[below.label].children[0] is None:
+            break
+        block = blocks[below.label]
+    parent, slot = (fan, slot) if fault == "duplicated-child" else (block, 0)
+    _inject(tree, fault, block, parent, slot, random.Random(f"{workload} {fault}"))
+    return tree
+
+
+def test_checker_reports_on_long_chains_are_pinned():
+    golden = dict(line.rsplit(" ", 1) for line in
+                  (Path(__file__).parent / "checker_reports_long.sha256").read_text().splitlines())
+    assert len(golden) == len(LONG_TREES) * len(LONG_FAULTS)
+    changed = [f"{w} {f}" for w in LONG_TREES for f in LONG_FAULTS
+               if _report_digest(_long_chain_tree(w, f)) != golden[f"{w} {f}"]]
+    assert not changed, f"{len(changed)} reports changed: {changed}"
 
 
 def test_scan_matches_fast_build_key_set():

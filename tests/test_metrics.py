@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rbst import Params, metrics
+from rbst import Params, check_invariants, metrics
 from rbst.errors import ConfigError
 from rbst.metrics import (
     ExperimentConfig, _distinct_sorted, bench_depth, bench_size, bench_updates,
@@ -50,6 +50,30 @@ def test_fast_build_deep_path_without_recursion():
     params = Params.unbuffered(1)
     tree = fast_build(np.array(keys, dtype=np.uint64), prio, params)
     assert tree.image() == oracle_build(keys, prio, params)
+
+
+class CollidingPriority:
+    """Four-bit ranks: many keys share one, and ranks do not follow key order."""
+
+    seed_tag = 0
+
+    def priority(self, key: int) -> tuple[int, int]:
+        return ((key * 0x9E3779B97F4A7C15) & MASK64) >> 60, key
+
+    def ranks(self, keys: np.ndarray) -> np.ndarray:
+        return (keys * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(60)
+
+
+@pytest.mark.parametrize("alpha,rho", [(2, 4), (4, 16), (4, 864), (16, 3456)])
+def test_rank_ties_break_by_key(alpha, rho):
+    # the numpy rankings (set-up's and the checker's) must order tied ranks
+    # by key, as the oracle's (rank, key) tuples do
+    keys = sample_keys(np.random.default_rng(alpha * rho), 3000)
+    prio, params = CollidingPriority(), Params(alpha, rho)
+    tree = fast_build(keys, prio, params)
+    assert tree.image() == oracle_build(keys.tolist(), prio, params)
+    report = check_invariants(tree)
+    assert report.ok, report.violations[:3]
 
 
 def test_sample_keys_distinct_sorted():
