@@ -6,7 +6,7 @@ from .core import (
     select_kth, successor,
 )
 from .oracle import oracle_build, oracle_tree, treap_reference
-from .priority import ExplicitPriority, HashedPriority, priority_of
+from .priority import ExplicitPriority, HashedPriority
 from .store import BlockStore, ImageHeader, IoStats
 from .update import UpdateReceipt, delete, insert
 
@@ -14,6 +14,6 @@ __all__ = [
     "BlockNode", "BlockStore", "ChildRef", "ExplicitPriority", "HashedPriority",
     "ImageHeader", "IoStats", "Params", "Tree", "UpdateReceipt",
     "check_invariants", "delete", "fanout_bound", "insert",
-    "oracle_build", "oracle_tree", "priority_of", "range_count",
+    "oracle_build", "oracle_tree", "range_count",
     "range_report", "select_kth", "successor", "treap_reference",
 ]

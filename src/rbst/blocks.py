@@ -102,7 +102,8 @@ def pack_record(node: BlockNode, alpha: int) -> bytes:
 
 def unpack_record(vals: tuple, alpha: int) -> BlockNode:
     """The block of one `record_struct(alpha)` entry.  One tree has one image, so
-    unused keys and absent fields must be zero and presence bytes 0 or 1."""
+    keys must strictly ascend, unused keys and absent fields must be zero and
+    presence bytes 0 or 1."""
     label, depth, key_count, fanout, parent_present, parent = vals[:6]
     if not 1 <= key_count <= alpha:
         raise FormatError(f"block {label}: key_count {key_count} outside 1..{alpha}")
@@ -111,12 +112,15 @@ def unpack_record(vals: tuple, alpha: int) -> BlockNode:
     if parent_present != 1 and (parent_present or parent):
         raise FormatError(f"block {label}: parent presence {parent_present}, parent {parent}")
     base = 6 + alpha
+    keys = list(vals[6:6 + key_count])
+    if not all(map(lt, keys, keys[1:])):
+        raise FormatError(f"block {label}: keys not strictly ascending")
     if any(vals[6 + key_count:base]):
         raise FormatError(f"block {label}: unused key slot not zero")
     children = [ChildRef(c, w) if p == 1 else None if p == c == w == 0
                 else _bad_slot(label, p, c, w)
                 for p, c, w in zip(vals[base::3], vals[base + 1::3], vals[base + 2::3])]
-    return BlockNode(list(vals[6:6 + key_count]), children,
+    return BlockNode(keys, children,
                      parent if parent_present else None, depth, fanout, label)
 
 

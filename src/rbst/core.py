@@ -139,23 +139,14 @@ def successor(tree: Tree, q: int):
     best = None
     cur = tree.root
     while cur is not None:
-        node = store.read(cur)
-        i = bisect_left(node.keys, q)
-        if i < len(node.keys) and (best is None or node.keys[i] < best):
-            best = node.keys[i]
+        for node in store.read_chain(cur):
+            keys = node.keys
+            i = bisect_left(keys, q)
+            if i < len(keys) and (best is None or keys[i] < best):
+                best = keys[i]
         if node.fanout <= 1:
-            child = node.children[0]
-            store.release(cur)
-            if child is not None:
-                for wave in store.read_chain(child.label):
-                    keys = wave.keys
-                    i = bisect_left(keys, q)
-                    if i < len(keys) and (best is None or keys[i] < best):
-                        best = keys[i]
             return best
-        seps = active_separators(node, prio)
-        child = node.children[bisect_right(seps, q)]
-        store.release(cur)
+        child = node.children[bisect_right(active_separators(node, prio), q)]
         cur = child.label if child is not None else None
     return best
 
@@ -204,18 +195,12 @@ def range_count(tree: Tree, lo: int, hi: int) -> int:
         if lo <= ilo + 1 and ihi - 1 <= hi:
             total += weight
             continue
-        node = store.read(label)
-        total += bisect_right(node.keys, hi) - bisect_left(node.keys, lo)
+        for node in store.read_chain(label):
+            total += bisect_right(node.keys, hi) - bisect_left(node.keys, lo)
         if node.fanout <= 1:
-            child = node.children[0]
-            store.release(label)
-            if child is not None:
-                for wave in store.read_chain(child.label):
-                    total += bisect_right(wave.keys, hi) - bisect_left(wave.keys, lo)
             continue
         seps = active_separators(node, prio)
         bounds = [ilo] + seps + [ihi]
-        store.release(label)
         for i in range(len(seps), -1, -1):
             child = node.children[i]
             if child is not None and bounds[i + 1] - 1 >= lo and bounds[i] + 1 <= hi:
@@ -228,24 +213,18 @@ def select_kth(tree: Tree, k: int) -> int:
     if not 1 <= k <= tree.n:
         raise InvalidRankError(f"rank {k} outside 1..{tree.n}")
     store, prio = tree.store, tree.prio
-    # extras: keys inside the current subtree's interval that live in the
-    # arrays of buffering ancestors; merged here by key value
-    label, extras = tree.root, []
+    # keys: those inside the current subtree's interval that live in the arrays
+    # of buffering ancestors, then the walk's own; merged here by key value
+    label, keys = tree.root, []
     while True:
-        node = store.read(label)
+        for node in store.read_chain(label):
+            keys += node.keys
         if node.fanout <= 1:
-            keys = node.keys + extras
-            child = node.children[0]
-            store.release(label)
-            if child is not None:
-                for wave in store.read_chain(child.label):
-                    keys.extend(wave.keys)
             keys.sort()
             return keys[k - 1]
         seps = active_separators(node, prio)
-        # the inactive keys and the extras, each slot's share cut out by its separator
-        loose = sorted([key for key in node.keys if key not in seps] + extras)
-        store.release(label)
+        # the inactive keys and the ancestors', each slot's share cut out by its separator
+        loose = sorted(key for key in keys if key not in seps)
         acc = start = 0
         for i in range(len(seps) + 1):
             child = node.children[i]
@@ -256,7 +235,7 @@ def select_kth(tree: Tree, k: int) -> int:
             if k <= acc + total:
                 if child is None:
                     return here[k - acc - 1]
-                label, k, extras = child.label, k - acc, here
+                label, k, keys = child.label, k - acc, here
                 break
             acc += total
             if i < len(seps):
@@ -264,19 +243,19 @@ def select_kth(tree: Tree, k: int) -> int:
                 if k == acc:
                     return seps[i]
         else:
-            raise InvalidRankError(f"rank walk exhausted block {label}")  # pragma: no cover
+            raise InvalidRankError(f"rank walk exhausted block {node.label}")  # pragma: no cover
 
 
 def scan_keys(store: BlockStore, prio, root_label: int, lo: int, hi: int,
               on_key=None, on_block=None, exclude=()) -> None:
     """Visit every block of the subtree whose key interval can meet (lo, hi).
 
-    Pre-order on an explicit stack of pending labels: each block is read
-    once and released before the next is read, so one block is pinned at a
-    time and the stack holds O(depth * alpha) labels.  The chain below a
-    block of fan-out 1 is read to its end through `store.read_chain`, one
-    counted read and one pin per block, before the next pending label is
-    popped.  Child intervals are derived from the visited block's own keys;
+    Pre-order on an explicit stack of pending labels.  Each popped label is
+    read through `store.read_chain`, which walks a chain to its end and
+    stops at a block of fan-out above one: one counted read per block, one
+    block pinned at a time, and the stack holds O(depth * alpha) labels.
+    The children of a walk's last fan-out block are pushed after its pin
+    drops.  Child intervals are derived from the visited block's own keys;
     missing outer bounds widen the test, which never adds spurious visits
     because a visited parent already overlaps (lo, hi).
 
@@ -289,26 +268,15 @@ def scan_keys(store: BlockStore, prio, root_label: int, lo: int, hi: int,
     excl = set(exclude)
     stack = [root_label]
     while stack:
-        label = stack.pop()
-        node = store.read(label)
-        if on_block is not None:
-            on_block(node.label, node)
-        if on_key is not None:
-            for key in node.keys[bisect_right(node.keys, lo): bisect_left(node.keys, hi)]:
-                if key not in excl:
-                    on_key(key)
+        for node in store.read_chain(stack.pop()):
+            if on_block is not None:
+                on_block(node.label, node)
+            if on_key is not None:
+                keys = node.keys
+                for key in keys[bisect_right(keys, lo): bisect_left(keys, hi)]:
+                    if key not in excl:
+                        on_key(key)
         if node.fanout <= 1:
-            child = node.children[0]
-            store.release(label)
-            if child is not None:
-                for node in store.read_chain(child.label):
-                    if on_block is not None:
-                        on_block(node.label, node)
-                    if on_key is not None:
-                        keys = node.keys
-                        for key in keys[bisect_right(keys, lo): bisect_left(keys, hi)]:
-                            if key not in excl:
-                                on_key(key)
             continue
         seps = active_separators(node, prio)
         bounds = [NEG_INF] + seps + [POS_INF]
@@ -317,7 +285,6 @@ def scan_keys(store: BlockStore, prio, root_label: int, lo: int, hi: int,
             child = node.children[i]
             if child is not None and bounds[i] < hi and bounds[i + 1] > lo:
                 stack.append(child.label)
-        store.release(label)
 
 
 # ---------------------------------------------------------------------------

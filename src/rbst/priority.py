@@ -26,9 +26,6 @@ _PHI = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
-# Priority values are (rank, key) tuples ordered lexicographically.
-Priority = tuple
-
 
 def _splitmix64(z: int) -> int:
     z = (z + _PHI) & MASK64
@@ -52,11 +49,6 @@ def rank_of_array(keys: np.ndarray, seed: int) -> np.ndarray:
         return z ^ (z >> np.uint64(31))
 
 
-def priority_of(key: int, seed: int) -> Priority:
-    """Total-order priority of a key: (hashed rank, key) compared lexicographically."""
-    return (rank_of(key, seed), key)
-
-
 class HashedPriority:
     """Priority source backed by the seeded mixing function."""
 
@@ -66,7 +58,7 @@ class HashedPriority:
         self.seed_tag = self.seed
         self._seed_mix = _splitmix64(self.seed)
 
-    def priority(self, key: int) -> Priority:
+    def priority(self, key: int) -> tuple[int, int]:
         # rank_of(key, self.seed), with the seed's mix hoisted out
         z = ((key ^ self._seed_mix) + _PHI) & MASK64
         z = ((z ^ (z >> 30)) * _MIX1) & MASK64
@@ -98,7 +90,7 @@ class ExplicitPriority:
     def from_order(cls, keys_in_priority_order: Iterable[int]) -> "ExplicitPriority":
         return cls({k: i + 1 for i, k in enumerate(keys_in_priority_order)})
 
-    def priority(self, key: int) -> Priority:
+    def priority(self, key: int) -> tuple[int, int]:
         if key not in self._ranks:
             raise InvalidPermutationError(f"key {key} has no rank in the assignment")
         return (self._ranks[key], key)

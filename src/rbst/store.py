@@ -8,8 +8,9 @@ because every update commits what it stages at that site before it stages
 anything at another.  Every block access goes through read/write calls
 that bump the counters; reads pin the block until the caller releases it,
 so peak_pinned measures how many blocks an algorithm really holds in main
-memory at once.  A walk down a chain (fan-out 1) reads through read_chain:
-one counted read per block, one pin held at a time, without a release call.
+memory at once.  Every query walk reads through read_chain, which goes down
+slot 0 and stops after the first block whose fan-out is above one: one
+counted read per block, one pin held at a time, without a release call.
 
 Image file format (all integers little-endian):
 
@@ -88,8 +89,11 @@ class BlockStore:
     def read_chain(self, label: int):
         """Counted reads of the chain from `label` down through slot 0, yielded in order.
 
-        One read per block and one pin, held while the caller is on a block
-        and dropped however the walk ends: run out, left early or raising.
+        The walk stops after a block of fan-out above one, or with no child
+        in slot 0: a fan-out block alone reads as a chain of one, and the
+        caller routes from it.  One read per block and one pin, held while
+        the caller is on a block and dropped however the walk ends: run out,
+        left early or raising.
         """
         blocks, stats = self.blocks, self._stats
         stats.cur_pinned += 1
@@ -102,7 +106,7 @@ class BlockStore:
                     raise NotFoundError(f"block label {label} not found") from None
                 stats.reads += 1
                 yield node
-                if node.children[0] is None:
+                if node.fanout > 1 or node.children[0] is None:
                     return
                 label = node.children[0].label
         finally:

@@ -212,6 +212,15 @@ def test_read_chain_reads_each_block_once_under_one_pin():
     assert (s.reads, s.cur_pinned, s.peak_pinned) == (5, 0, 1)
 
 
+def test_read_chain_stops_after_a_fanout_block():
+    store = _chain_store(5)
+    store.blocks[3].fanout = 2
+    assert [node.label for node in store.read_chain(1)] == [1, 2, 3]
+    s = store.stats()
+    assert (s.reads, s.cur_pinned, s.peak_pinned) == (3, 0, 1)
+    assert [node.label for node in store.read_chain(3)] == [3]
+
+
 def test_read_chain_unpins_when_left_early_or_raising():
     store = _chain_store(5)
     for node in store.read_chain(1):
@@ -411,8 +420,9 @@ def _patched(img: bytes, label: int, field: int, value: int) -> bytes:
     return img[:at] + entry.pack(*vals) + img[at + entry.size:]
 
 
-@pytest.mark.parametrize("fault", ["unused-key", "absent-parent", "parent-presence",
-                                   "absent-slot-label", "absent-slot-weight", "slot-presence"])
+@pytest.mark.parametrize("fault", ["unused-key", "unsorted-key", "absent-parent",
+                                   "parent-presence", "absent-slot-label",
+                                   "absent-slot-weight", "slot-presence"])
 def test_image_not_written_by_pack_is_refused(fault):
     # one tree, one file: at alpha 4 an entry is label, depth, key_count, fanout_state,
     # parent presence and key, 4 key slots, then 5 (presence, label, weight) slots
@@ -428,6 +438,7 @@ def test_image_not_written_by_pack_is_refused(fault):
     absent = slots.index(None)
     label, field, value = {
         "unused-key": (66, 6 + 3, 12345),
+        "unsorted-key": (tree.root, 6 + 1, blocks[tree.root].keys[0] - 1),
         "absent-parent": (tree.root, 5, 7),
         "parent-presence": (other, 4, 2),
         "absent-slot-label": (inner, 10 + 3 * absent + 1, 5),

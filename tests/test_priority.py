@@ -6,20 +6,21 @@ from scipy import stats
 
 from rbst.errors import InvalidPermutationError
 from rbst.priority import (
-    MASK64, ExplicitPriority, HashedPriority, priority_of, rank_of, rank_of_array,
+    MASK64, ExplicitPriority, HashedPriority, rank_of, rank_of_array,
 )
 
 
 def test_deterministic():
     for key in (0, 1, 42, (1 << 64) - 1):
-        assert priority_of(key, 7) == priority_of(key, 7)
-    assert priority_of(42, 7) != priority_of(42, 8)
+        assert HashedPriority(7).priority(key) == HashedPriority(7).priority(key)
+    assert HashedPriority(7).priority(42) != HashedPriority(8).priority(42)
 
 
 def test_distinct_keys_never_equal():
     seen = {}
+    prio = HashedPriority(3)
     for key in range(2000):
-        p = priority_of(key, 3)
+        p = prio.priority(key)
         assert p not in seen
         seen[p] = key
 
@@ -34,7 +35,7 @@ def test_hashed_priority_matches_rank_of(seed):
     assert prio.seed == seed & MASK64
     ranks = rank_of_array(np.array(keys, dtype=np.uint64), seed)
     for key, rank in zip(keys, ranks):
-        assert prio.priority(key) == priority_of(key, seed) == (int(rank), key)
+        assert prio.priority(key) == (int(rank), key)
         assert prio.priority(key)[0] == rank_of(key, seed & MASK64)
 
 
