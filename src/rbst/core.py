@@ -220,8 +220,9 @@ def select_kth(tree: Tree, k: int) -> int:
         for node in store.read_chain(label):
             keys += node.keys
         if node.fanout <= 1:
-            keys.sort()
-            return keys[k - 1]
+            if k <= len(keys):
+                return sorted(keys)[k - 1]
+            break
         seps = active_separators(node, prio)
         # the inactive keys and the ancestors', each slot's share cut out by its separator
         loose = sorted(key for key in keys if key not in seps)
@@ -243,7 +244,9 @@ def select_kth(tree: Tree, k: int) -> int:
                 if k == acc:
                     return seps[i]
         else:
-            raise InvalidRankError(f"rank walk exhausted block {node.label}")  # pragma: no cover
+            break
+    # slot weights that disagree with the keys below them (a corrupt loaded image)
+    raise InvalidRankError(f"rank walk exhausted block {node.label}")
 
 
 def scan_keys(store: BlockStore, prio, root_label: int, lo: int, hi: int,

@@ -18,7 +18,7 @@ class AccountingError(RbstError):
 
 
 class CorruptionError(RbstError):
-    """The store would end up in an inconsistent state (algorithm bug)."""
+    """The store would end up in an inconsistent state: an algorithm bug or a bad loaded image."""
 
 
 class FormatError(RbstError):
@@ -38,7 +38,7 @@ class InvalidRangeError(RbstError):
 
 
 class InvalidRankError(RbstError):
-    """Order-statistic rank outside 1..n."""
+    """Order-statistic rank outside 1..n, or a rank walk that wrong slot weights exhaust."""
 
 
 class InvalidPermutationError(RbstError):

@@ -20,7 +20,7 @@ from itertools import permutations
 from .blocks import BlockNode, ChildRef
 from .core import Params, Tree, fanout_bound
 from .errors import ConfigError, EnumerationLimitError
-from .priority import ExplicitPriority, HashedPriority
+from .priority import ExplicitPriority
 from .store import BlockStore
 
 ENUMERATION_LIMIT = 9
@@ -98,65 +98,39 @@ def oracle_build(keys, prio, params: Params) -> bytes:
 # ---------------------------------------------------------------------------
 
 
-class TreapNode:
-    __slots__ = ("key", "left", "right")
-
-    def __init__(self, key, left=None, right=None):
-        self.key = key
-        self.left = left
-        self.right = right
-
-
-def treap_reference(keys, prio) -> TreapNode | None:
-    """Classic treap: search tree by key, heap by priority."""
-    top = TreapNode(None)
-    # (ascending keys of a subtree, the node that takes it, "left" or "right")
-    stack = [(sorted(keys), top, "left")]
+def treap_reference(keys, prio) -> list[int | None]:
+    """Classic treap (search tree by key, heap by priority) as its pre-order key
+    list with None for each empty subtree: an injective form, compared by `==`."""
+    out: list[int | None] = []
+    stack = [sorted(keys)]      # ascending keys of each pending subtree
     while stack:
-        subkeys, owner, side = stack.pop()
+        subkeys = stack.pop()
         if not subkeys:
+            out.append(None)
             continue
         key = min(subkeys, key=prio.priority)
         i = subkeys.index(key)
-        node = TreapNode(key)
-        setattr(owner, side, node)
-        stack.append((subkeys[:i], node, "left"))
-        stack.append((subkeys[i + 1:], node, "right"))
-    return top.left
+        out.append(key)
+        stack.append(subkeys[i + 1:])
+        stack.append(subkeys[:i])
+    return out
 
 
-def treap_shape_of_tree(tree: Tree) -> TreapNode | None:
-    """Binary shape of an alpha=1, unbuffered tree, for isomorphism checks."""
+def treap_shape_of_tree(tree: Tree) -> list[int | None]:
+    """An alpha=1, unbuffered tree in `treap_reference`'s pre-order form."""
     if tree.params.alpha != 1 or tree.params.rho != 0:
         raise ConfigError("treap comparison requires alpha=1 without buffering")
-    store = tree.store
-    top = TreapNode(None)
-    stack = [(tree.root, top, "left")]
+    out: list[int | None] = []
+    stack = [tree.root]
     while stack:
-        label, owner, side = stack.pop()
+        label = stack.pop()
         if label is None:
+            out.append(None)
             continue
-        block = store.peek(label)
-        node = TreapNode(block.keys[0])
-        setattr(owner, side, node)
-        for child, child_side in zip(block.children, ("left", "right")):
-            stack.append((child.label if child else None, node, child_side))
-    return top.left
-
-
-def treap_isomorphic(a: TreapNode | None, b: TreapNode | None) -> bool:
-    stack = [(a, b)]
-    while stack:
-        a, b = stack.pop()
-        if a is None or b is None:
-            if a is not b:
-                return False
-            continue
-        if a.key != b.key:
-            return False
-        stack.append((a.left, b.left))
-        stack.append((a.right, b.right))
-    return True
+        block = tree.store.peek(label)
+        out.append(block.keys[0])
+        stack.extend(None if c is None else c.label for c in reversed(block.children))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -236,44 +210,3 @@ def section_distribution_checks(n: int, m: int, t: int) -> tuple[Fraction, Fract
     lower = (1 - Fraction(t, n + 1)) ** (m - 1)
     upper = (1 - Fraction(t, n + m - 1)) ** (m - 1)
     return exact, lower, upper
-
-
-def buffer_nonfull_census(n: int, params: Params, trials: int | None = None,
-                          seed_base: int = 0):
-    """Expected non-full blocks: exact for n <= 9, Monte Carlo otherwise.
-
-    Exact mode returns a Fraction; Monte Carlo returns (mean, half_ci).
-    """
-    if trials is None:
-        if n > ENUMERATION_LIMIT:
-            raise EnumerationLimitError(
-                f"n={n} above enumeration limit {ENUMERATION_LIMIT}; pass trials"
-            )
-        _, _, e = exact_expected_size(n, params)
-        return e
-    total = 0.0
-    totsq = 0.0
-    keys = list(range(1, n + 1))
-    for t in range(trials):
-        prio = HashedPriority(seed_base + t)
-        _, blocks = oracle_blocks(keys, prio, params)
-        e = sum(1 for b in blocks.values() if len(b.keys) < params.alpha)
-        total += e
-        totsq += e * e
-    mean = total / trials
-    var = max(0.0, totsq / trials - mean * mean)
-    half_ci = 1.96 * math.sqrt(var / trials) if trials > 1 else float("inf")
-    return mean, half_ci
-
-
-def enumerate_images(n: int, params: Params, keys=None) -> dict[bytes, int]:
-    """Image -> multiplicity over all permutations of the key set."""
-    if n > ENUMERATION_LIMIT:
-        raise EnumerationLimitError(f"n={n} above enumeration limit {ENUMERATION_LIMIT}")
-    keys = list(range(1, n + 1)) if keys is None else sorted(keys)
-    seen: dict[bytes, int] = {}
-    for order in permutations(keys):
-        prio = ExplicitPriority.from_order(order)
-        img = oracle_build(keys, prio, params)
-        seen[img] = seen.get(img, 0) + 1
-    return seen

@@ -13,8 +13,7 @@ from fractions import Fraction
 from .core import Params, Tree, check_invariants
 from .oracle import (
     exact_expected_size, oracle_build, section_distribution_checks,
-    section_tail_by_enumeration, section_tail_prob, treap_isomorphic,
-    treap_reference, treap_shape_of_tree,
+    section_tail_by_enumeration, section_tail_prob, treap_reference, treap_shape_of_tree,
 )
 from .priority import HashedPriority
 from .store import BlockStore, parse_image
@@ -58,7 +57,7 @@ def check_treap_degeneration(cases: int):
         tree = Tree(BlockStore(1), params, prio)
         for k in keys:
             insert(tree, k)
-        if not treap_isomorphic(treap_shape_of_tree(tree), treap_reference(keys, prio)):
+        if treap_shape_of_tree(tree) != treap_reference(keys, prio):
             return ("treap-degeneration", False, f"shape mismatch at case {case}")
     return ("treap-degeneration", True, f"{cases} trees isomorphic to the classic treap")
 

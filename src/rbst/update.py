@@ -47,7 +47,7 @@ from .blocks import BlockNode, ChildRef
 from .core import (
     NEG_INF, POS_INF, Params, Tree, active_separators, fanout_bound, scan_keys, successor,
 )
-from .errors import ConfigError, DuplicateKeyError, MissingKeyError
+from .errors import ConfigError, CorruptionError, DuplicateKeyError, MissingKeyError
 from .priority import MASK64
 
 # fewer keys rank faster by hashing each in Python than by one numpy call
@@ -294,7 +294,8 @@ def _build_fresh(ctx: _Ctx, lo: int, hi: int, weight: int, sources, include, exc
             scan_keys(ctx.store, ctx.prio, src, NEG_INF, POS_INF, on_block=ctx.mark_obsolete)
         return None
     pool = _top_pass(ctx, sources, lo, hi, include, exclude)
-    assert len(pool) == weight, "section weight drifted"
+    if len(pool) != weight:
+        raise CorruptionError(f"section ({lo}, {hi}): {len(pool)} keys, slot weight {weight}")
     layout_subtree(pool, ctx.params, parent, depth, ctx.stage)
     return pool[0]
 

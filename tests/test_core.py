@@ -113,6 +113,37 @@ def test_range_count_and_select_basics():
         select_kth(tree, len(keys) + 1)
 
 
+def _weight_fault_tree() -> Tree:
+    return fast_build(sample_keys(np.random.default_rng(1), 2000), HashedPriority(1),
+                      Params.of(4, 0.5, 2))
+
+
+def _reloaded_with_weight(tree: Tree, label: int, delta: int) -> Tree:
+    """`tree` through its image, with `delta` added to block `label`'s slot-0 weight."""
+    tree.store.blocks[label].children[0].weight += delta
+    return Tree.from_image_bytes(tree.image())
+
+
+def test_select_kth_refuses_a_slot_weight_above_its_chain():
+    # loads do not check slot weights yet, so the rank walk must: here it ends
+    # in a chain that holds fewer keys than the rank it carries there
+    tree = _weight_fault_tree()
+    blocks = tree.store.blocks
+    label = min(l for l, b in blocks.items() if b.fanout > 1 and b.children[0] is not None
+                and blocks[b.children[0].label].fanout <= 1)
+    tree = _reloaded_with_weight(tree, label, 1)
+    with pytest.raises(InvalidRankError, match="rank walk exhausted block"):
+        select_kth(tree, 6)
+
+
+def test_select_kth_refuses_slot_weights_below_the_tree_size():
+    tree = _weight_fault_tree()
+    root = tree.root
+    tree = _reloaded_with_weight(tree, root, -1)
+    with pytest.raises(InvalidRankError, match=f"rank walk exhausted block {root}$"):
+        select_kth(tree, tree.n)
+
+
 @pytest.mark.parametrize("alpha,rho,seed", [(1, 1, 0), (2, 1, 1), (3, 2, 2), (4, 4, 3),
                                             (2, 0, 4), (5, 3, 5)])
 def test_queries_against_sorted_oracle(alpha, rho, seed):

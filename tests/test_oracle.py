@@ -1,14 +1,15 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
 from rbst import Params, Tree, insert
 from rbst.errors import ConfigError, EnumerationLimitError
 from rbst.oracle import (
-    buffer_nonfull_census, enumerate_images, exact_expected_size, oracle_blocks,
-    oracle_build, oracle_tree, section_distribution_checks, section_tail_by_enumeration,
-    section_tail_prob, treap_isomorphic, treap_reference, treap_shape_of_tree,
+    exact_expected_size, oracle_blocks, oracle_build, oracle_tree, section_distribution_checks,
+    section_tail_by_enumeration, section_tail_prob, treap_reference, treap_shape_of_tree,
 )
 from rbst.priority import ExplicitPriority, HashedPriority
 from rbst.store import BlockStore
@@ -96,13 +97,13 @@ def test_census_chain_configurations():
     # with fan-out one the layout is a chain whose only possible non-full
     # block is the tail, so E equals the tail statistic exactly
     for n, alpha, rho in [(5, 3, 4), (6, 2, 5), (7, 3, 6), (4, 4, 9)]:
-        e = buffer_nonfull_census(n, Params(alpha, rho))
+        e = exact_expected_size(n, Params(alpha, rho))[2]
         assert e == (1 if n % alpha else 0)
         assert e <= 1
 
 
 def test_census_exact_n8_frozen():
-    e = buffer_nonfull_census(8, Params(3, 2))
+    e = exact_expected_size(8, Params(3, 2))[2]
     assert e == Fraction(12, 7)
     assert e <= 27 * 3
 
@@ -111,27 +112,26 @@ def test_census_monte_carlo_mode():
     from rbst import fanout_bound
     params = Params.of(2, 0.5)   # rho = 432
     delta = fanout_bound(10_000, params)
-    mean, half_ci = buffer_nonfull_census(10_000, params, trials=6, seed_base=1)
-    assert half_ci >= 0
-    assert mean <= 27 * delta
-
-
-def test_census_requires_trials_above_limit():
-    with pytest.raises(EnumerationLimitError):
-        buffer_nonfull_census(50, Params.of(2, 0.5))
+    keys = range(1, 10_001)
+    nonfull = []
+    for seed in range(1, 7):
+        _, blocks = oracle_blocks(keys, HashedPriority(seed), params)
+        nonfull.append(sum(len(b.keys) < params.alpha for b in blocks.values()))
+    assert sum(nonfull) / len(nonfull) <= 27 * delta
 
 
 def test_enumerate_images_perm6():
     # 720 permutations are built; distinct images collapse to 120 because
     # single-block sections do not depend on the order within the section
-    seen = enumerate_images(6, Params.unbuffered(3))
+    keys = range(1, 7)
+    seen = Counter(oracle_build(keys, ExplicitPriority.from_order(order), Params.unbuffered(3))
+                   for order in permutations(keys))
     assert sum(seen.values()) == 720
     assert len(seen) == 120
 
 
 def test_treap_single_key():
-    shape = treap_reference([7], HashedPriority(1))
-    assert shape.key == 7 and shape.left is None and shape.right is None
+    assert treap_reference([7], HashedPriority(1)) == [7, None, None]
 
 
 def test_treap_forced_left_spine():
@@ -140,9 +140,15 @@ def test_treap_forced_left_spine():
     for k in (10, 20, 30):
         insert(tree, k)
     shape = treap_shape_of_tree(tree)
-    assert shape.key == 30 and shape.right is None
-    assert shape.left.key == 20 and shape.left.left.key == 10
-    assert treap_isomorphic(shape, treap_reference([10, 20, 30], prio))
+    assert shape == [30, 20, 10, None, None, None, None]
+    assert shape == treap_reference([10, 20, 30], prio)
+
+
+@pytest.mark.parametrize("params", [Params.unbuffered(2), Params(1, 1)], ids=["alpha2", "rho1"])
+def test_treap_shape_refuses_other_params(params):
+    tree = oracle_tree([1, 2, 3], HashedPriority(0), params)
+    with pytest.raises(ConfigError, match="alpha=1 without buffering"):
+        treap_shape_of_tree(tree)
 
 
 @pytest.mark.parametrize("case", range(25))
@@ -154,7 +160,7 @@ def test_treap_isomorphism_random(case):
     tree = Tree(BlockStore(1), Params.unbuffered(1), prio)
     for k in keys:
         insert(tree, k)
-    assert treap_isomorphic(treap_shape_of_tree(tree), treap_reference(keys, prio))
+    assert treap_shape_of_tree(tree) == treap_reference(keys, prio)
 
 
 def test_treap_deeper_than_recursion_limit():
@@ -163,8 +169,8 @@ def test_treap_deeper_than_recursion_limit():
     prio = ExplicitPriority.from_order(keys)
     tree = oracle_tree(keys, prio, Params.unbuffered(1))
     assert tree.store.blocks[2000].depth == 1999
-    assert treap_isomorphic(treap_shape_of_tree(tree), treap_reference(keys, prio))
-    assert not treap_isomorphic(treap_shape_of_tree(tree), treap_reference(range(1, 2000), prio))
+    assert treap_shape_of_tree(tree) == treap_reference(keys, prio)
+    assert treap_shape_of_tree(tree) != treap_reference(range(1, 2000), prio)
 
 
 def test_oracle_image_header_carries_params():

@@ -8,7 +8,8 @@ import rbst.update as upd
 from rbst import BlockStore, Params, Tree, check_invariants, delete, fanout_bound, insert
 from rbst.core import active_separators
 from rbst.errors import (
-    DuplicateKeyError, InvalidPermutationError, MissingKeyError, NotFoundError, RbstError,
+    CorruptionError, DuplicateKeyError, InvalidPermutationError, MissingKeyError, NotFoundError,
+    RbstError,
 )
 from rbst.oracle import oracle_build, oracle_tree
 from rbst.priority import MASK64, ExplicitPriority, HashedPriority
@@ -505,6 +506,20 @@ def test_update_that_raises_leaves_nothing_staged():
             raised.append(after.allocs - before.allocs)
             assert not tree.store.aux and after.cur_pinned == 0
     assert raised[0] > 0 and len(raised) > 1
+
+
+def test_update_refuses_a_slot_weight_its_section_does_not_hold():
+    # loads do not check slot weights yet: the rebuild that gathers a
+    # section's keys must refuse a count that differs, also under python -O
+    tree = Tree.empty(Params(2, 1), seed=2)
+    for k in range(10, 610, 10):
+        insert(tree, k)
+    root = tree.store.blocks[tree.root]
+    next(c for c in root.children if c is not None).weight += 1
+    tree = Tree.from_image_bytes(tree.image())
+    with pytest.raises(CorruptionError, match=r"section \(-1, 235\): 23 keys, slot weight 24"):
+        insert(tree, 235)
+    assert not tree.store.aux and tree.store.stats().cur_pinned == 0
 
 
 @pytest.mark.parametrize("case", range(12))
