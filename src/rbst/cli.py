@@ -155,7 +155,7 @@ def _cmd_dump(args) -> int:
     tree = _load(args.image)
     p = tree.params
     print(f"alpha={p.alpha} rho={p.rho} "
-          f"seed={tree.prio.seed_tag} n={tree.n} root={tree.root}")
+          f"seed={tree.prio.seed} n={tree.n} root={tree.root}")
     for label in sorted(tree.store.blocks):
         b = tree.store.blocks[label]
         kids = " ".join(

@@ -24,7 +24,7 @@ import numpy as np
 
 from .blocks import BlockNode
 from .errors import ConfigError, InvalidRangeError, InvalidRankError, RbstError
-from .priority import MASK64, HashedPriority
+from .priority import HashedPriority
 from .store import ALPHA_MAX, RHO_MAX, BlockStore, ImageHeader, parse_image
 
 NEG_INF = -1
@@ -74,8 +74,6 @@ def fanout_bound(n_sub: int, params: Params) -> int:
         raise ConfigError(f"negative subtree weight {n_sub}")
     if params.rho == 0:
         return params.alpha + 1 if n_sub > 0 else 1
-    if n_sub == 0:
-        return 1
     return min(params.alpha + 1, max(1, -(-(n_sub - params.alpha) // params.rho)))
 
 
@@ -95,7 +93,7 @@ class Tree:
 
     def image(self) -> bytes:
         return self.store.image_bytes(ImageHeader(
-            self.params.alpha, self.params.rho, self.prio.seed_tag, self.n, self.root))
+            self.params.alpha, self.params.rho, self.prio.seed, self.n, self.root))
 
     def save(self, path: str) -> None:
         if not isinstance(self.prio, HashedPriority):
@@ -250,7 +248,7 @@ def select_kth(tree: Tree, k: int) -> int:
 
 
 def scan_keys(store: BlockStore, prio, root_label: int, lo: int, hi: int,
-              on_key=None, on_block=None, exclude=()) -> None:
+              on_key=None, on_block=None) -> None:
     """Visit every block of the subtree whose key interval can meet (lo, hi).
 
     Pre-order on an explicit stack of pending labels.  Each popped label is
@@ -262,13 +260,12 @@ def scan_keys(store: BlockStore, prio, root_label: int, lo: int, hi: int,
     missing outer bounds widen the test, which never adds spurious visits
     because a visited parent already overlaps (lo, hi).
 
-    on_key(key) runs for every stored key in (lo, hi) not in exclude, in
-    pre-order and ascending within a block; on_block(label, node) runs once
-    per visited block.  A partial rebuild gathers its section's keys,
-    `range_report` its output and `search_path_profile` its path, with one
-    call.
+    on_key(key) runs for every stored key in (lo, hi), in pre-order and
+    ascending within a block; on_block(label, node) runs once per visited
+    block.  A partial rebuild gathers its section's keys, `range_report` its
+    output and `search_path_profile` its path, with one call; a caller that
+    leaves keys out filters what on_key receives.
     """
-    excl = set(exclude)
     stack = [root_label]
     while stack:
         for node in store.read_chain(stack.pop()):
@@ -277,8 +274,7 @@ def scan_keys(store: BlockStore, prio, root_label: int, lo: int, hi: int,
             if on_key is not None:
                 keys = node.keys
                 for key in keys[bisect_right(keys, lo): bisect_left(keys, hi)]:
-                    if key not in excl:
-                        on_key(key)
+                    on_key(key)
         if node.fanout <= 1:
             continue
         seps = active_separators(node, prio)
@@ -302,19 +298,15 @@ class InvariantReport:
 
 
 def _block_extremes(prio, blocks) -> dict:
-    """Store label -> (minimum-priority key, maximum priority) of each block whose keys
-    lie in u64, from one `prio.ranks` call and two segment reductions over the
-    blocks' offsets; a rank tie goes to a block's first key for the minimum and its
-    last for the maximum.  Empty if `prio` refuses the batch."""
+    """Store label -> (minimum-priority key, maximum priority) of each block, from
+    one `prio.ranks` call and two segment reductions over the blocks' offsets; a
+    rank tie goes to a block's first key for the minimum and its last for the
+    maximum.  Empty if the batch holds a key outside u64 or `prio` refuses it."""
     batch = {label: node.keys for label, node in blocks.items() if node.keys}
     try:
         keys = np.fromiter(chain.from_iterable(batch.values()), np.uint64)
-    except OverflowError:                              # a key outside u64: leave its block out
-        batch = {l: ks for l, ks in batch.items() if 0 <= min(ks) <= max(ks) <= MASK64}
-        keys = np.fromiter(chain.from_iterable(batch.values()), np.uint64)
-    try:
         ranks = prio.ranks(keys)
-    except RbstError:
+    except (OverflowError, RbstError):
         return {}
     sizes = np.fromiter(map(len, batch.values()), np.intp, len(batch))
     starts = np.cumsum(sizes) - sizes
@@ -338,28 +330,18 @@ def check_invariants(tree: Tree) -> InvariantReport:
     earlier slots' subtrees are done; a close frame compares a slot's weight
     with the keys counted since its child was opened, on one running count.
     Each block's minimum-priority key and maximum priority come from
-    `_block_extremes`, or from `tree.prio` for a block it leaves out (where an
-    unranked key raises), as do child labels' priorities and separators."""
+    `_block_extremes`, or from `tree.prio` when it leaves them out (where an
+    unranked key raises), as do child labels' priorities and separators.
+    With no root the walk is empty, so a nonzero n fails the closing key count
+    and any block is unreachable; a root label the store lacks is dangling."""
     params, prio, blocks = tree.params, tree.prio, tree.store.blocks
     alpha = params.alpha
     bad: list[str] = []
     seen: set[int] = set()
-
-    if tree.root is None:
-        if tree.n != 0:
-            bad.append(f"tree: n={tree.n} with no root")
-        if blocks:
-            bad.append(f"store: {len(blocks)} blocks with no root")
-        return InvariantReport(not bad, bad)
-    if tree.n == 0:
-        bad.append("tree: n=0 with a root present")
-    if tree.root not in blocks:
-        bad.append(f"tree: root label {tree.root} not in store")
-        return InvariantReport(False, bad)
     table, counted = _block_extremes(prio, blocks), 0
     # (_VISIT, label, weight, parent, depth, lo, hi), (_CLOSE, parent, label, weight,
     # count at opening), (_SLOT, label, node, first slot, bounds, max priority, weight, depth)
-    stack = [(_VISIT, tree.root, tree.n, None, 0, NEG_INF, POS_INF)]
+    stack = [] if tree.root is None else [(_VISIT, tree.root, tree.n, None, 0, NEG_INF, POS_INF)]
     while stack:
         frame = stack.pop()
         if frame[0] == _CLOSE:

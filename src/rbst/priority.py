@@ -53,9 +53,8 @@ class HashedPriority:
     """Priority source backed by the seeded mixing function."""
 
     def __init__(self, seed: int):
-        self.seed = seed & MASK64
         # image headers persist the seed so a reloaded tree keeps its shape
-        self.seed_tag = self.seed
+        self.seed = seed & MASK64
         self._seed_mix = _splitmix64(self.seed)
 
     def priority(self, key: int) -> tuple[int, int]:
@@ -76,7 +75,7 @@ class ExplicitPriority:
     what enumeration drivers use to iterate all permutations of a key set.
     """
 
-    seed_tag = 0
+    seed = 0
 
     def __init__(self, assignment: dict[int, int]):
         n = len(assignment)

@@ -139,11 +139,8 @@ class _Ctx:
 
     def receipt(self, op: str, key: int, before) -> UpdateReceipt:
         after = self.store.stats()
-        changed_depths = list(self.staged.values()) + list(self.freed.values())
-        if changed_depths:
-            d_prime = max(changed_depths) - min(changed_depths) + 1
-        else:
-            d_prime = 0
+        # every update that returns stages or frees at least one block
+        changed_depths = [*self.staged.values(), *self.freed.values()]
         old_side = set(self.freed) | self.rewritten
         new_side = set(self.staged) | self.rewritten
         return UpdateReceipt(
@@ -156,7 +153,7 @@ class _Ctx:
             rewritten=len(self.rewritten),
             reads=after.reads - before.reads,
             writes=after.writes - before.writes,
-            d_prime=d_prime,
+            d_prime=max(changed_depths) - min(changed_depths) + 1,
             cases=self.cases,
             staged_labels=frozenset(self.staged),
             freed_labels=frozenset(self.freed),
@@ -172,27 +169,23 @@ class _Ctx:
 def _top_pass(ctx: _Ctx, sources, lo: int, hi: int, include, exclude) -> list[int]:
     """Every key of the section (lo, hi), in ascending priority: the rebuild's only store pass.
 
-    Stored keys come from one scan per source subtree, leaving out `exclude`;
-    each visited block is read once and marked obsolete.  The `include` keys
-    in (lo, hi) (pushed down into the section, held by no old block) join them.
+    Stored keys come from one scan per source subtree, less `exclude`; each
+    visited block is read once and marked obsolete.  The `include` keys in
+    (lo, hi) (pushed down into the section, held by no old block) join them.
     """
     pool: list[int] = []
     for src in sources:
         scan_keys(ctx.store, ctx.prio, src, lo, hi, on_key=pool.append,
-                  on_block=ctx.mark_obsolete, exclude=exclude)
-    pool += [key for key in include if lo < key < hi]
+                  on_block=ctx.mark_obsolete)
+    excl = set(exclude)
+    pool = [key for key in pool if key not in excl] + [key for key in include if lo < key < hi]
     return _by_priority(ctx.prio, pool)
 
 
 def _count_pass(ctx: _Ctx, source: int, lo: int, hi: int, exclude=()) -> int:
-    count = 0
-
-    def on_key(_key: int) -> None:
-        nonlocal count
-        count += 1
-
-    scan_keys(ctx.store, ctx.prio, source, lo, hi, on_key=on_key, exclude=exclude)
-    return count
+    keys: list[int] = []
+    scan_keys(ctx.store, ctx.prio, source, lo, hi, on_key=keys.append)
+    return len(set(keys).difference(exclude))
 
 
 # ---------------------------------------------------------------------------
@@ -329,8 +322,8 @@ def _diff_sections(ctx: _Ctx, node: BlockNode, lo: int, hi: int,
     out: list[PlanSection] = []
     for j in range(len(bounds) - 1):
         a, b = bounds[j], bounds[j + 1]
-        over = [(olo, ohi, ref) for (olo, ohi, ref) in old if olo < b and ohi > a]
-        nonempty = [(olo, ohi, ref) for (olo, ohi, ref) in over if ref is not None]
+        nonempty = [(olo, ohi, ref) for (olo, ohi, ref) in old
+                    if ref is not None and olo < b and ohi > a]
         inc = [k for k in adds if a < k < b]
         exc = [k for k in removes if a < k < b]
         if (not inc and not exc and len(nonempty) == 1

@@ -102,6 +102,17 @@ def test_local_violation_names_key_fault(keys, fault):
     assert node.local_violation(3) == (fault and f"block {keys[0]}: {fault}")
 
 
+@pytest.mark.parametrize("slots,keys,fault", [
+    (3, [5], "3 child slots, want 4"),
+    (4, [], "empty key array"),
+])
+def test_local_violation_names_block_shape_fault(slots, keys, fault):
+    node = BlockNode(keys, [None] * slots, None, 0, 1, 5)
+    assert node.local_violation(3) == f"block 5: {fault}"
+    with pytest.raises(InvalidBlockError, match=fault):
+        pack_record(node, 3)
+
+
 def test_commit_smallest_rebuild():
     store = BlockStore(2)
     store.blocks[5] = leaf([5], 2)
@@ -319,7 +330,7 @@ def test_image_alpha_out_of_range_names_field(alpha):
         Tree.from_image_bytes(_empty_image(alpha))
 
 
-@pytest.mark.parametrize("fault", ["root-without-presence", "presence-2"])
+@pytest.mark.parametrize("fault", ["root-without-presence", "presence-2", "n-without-root"])
 def test_image_root_fields_are_canonical(fault):
     # without these checks both images load and re-pack to other bytes
     at = struct.calcsize("<4sHHIQQ")   # root_present (u8), then root (u64)
@@ -327,6 +338,10 @@ def test_image_root_fields_are_canonical(fault):
         raw = bytearray(Tree.empty(Params(2, 2)).image())
         struct.pack_into("<Q", raw, at + 1, 77)
         why = "bad root 77: root_present is 0"
+    elif fault == "n-without-root":
+        raw = bytearray(Tree.empty(Params(2, 2)).image())
+        struct.pack_into("<Q", raw, at - 8, 5)    # n, just before root_present
+        why = "missing root for a non-empty image"
     else:
         tree = Tree.empty(Params(2, 2))
         insert(tree, 5)
@@ -348,6 +363,26 @@ def test_image_truncated(tmp_path):
     raw = tree.image()
     with pytest.raises(FormatError):
         parse_image(raw[:-3])
+
+
+@pytest.mark.parametrize("fault", ["short-header", "version-2", "labels-descending"])
+def test_image_header_and_block_order_faults_name_the_field(fault):
+    tree = Tree.empty(Params(2, 2), seed=0)
+    for k in range(10, 100, 7):
+        insert(tree, k)
+    raw = bytearray(tree.image())
+    head, size = struct.calcsize("<4sHHIQQBQQ"), record_struct(2).size
+    if fault == "short-header":
+        raw, why = raw[:head - 1], "image shorter than header"
+    elif fault == "version-2":
+        struct.pack_into("<H", raw, 4, 2)
+        why = "unsupported version 2"
+    else:
+        first, second = raw[head:head + size], raw[head + size:head + 2 * size]
+        raw[head:head + 2 * size] = second + first
+        why = f"block labels not ascending at {min(tree.store.blocks)}"
+    with pytest.raises(FormatError, match=why):
+        parse_image(bytes(raw))
 
 
 def test_image_dangling_child_names_label():

@@ -28,6 +28,8 @@ def test_fanout_bound_formula():
     assert fanout_bound(8, p) == 2
     assert fanout_bound(100, p) == 4
     assert fanout_bound(0, p) == 1
+    with pytest.raises(ConfigError, match="negative subtree weight -1"):
+        fanout_bound(-1, p)
 
 
 def test_fanout_bound_unbuffered():
@@ -99,6 +101,9 @@ def test_range_report_basics():
     assert range_report(tree, 3, 3) == []
     with pytest.raises(InvalidRangeError):
         range_report(tree, 5, 4)
+    with pytest.raises(InvalidRangeError):
+        range_count(tree, 5, 4)
+    assert range_report(Tree.empty(Params.of(2, 0.5)), 0, MASK64) == []
 
 
 def test_range_count_and_select_basics():
@@ -233,6 +238,49 @@ def test_checker_names_a_label_field_other_than_the_store_label():
     assert check_invariants(tree).violations == [f"block {label}: label field {node.label}"]
     with pytest.raises(FormatError):
         Tree.from_image_bytes(tree.image())
+
+
+@pytest.mark.parametrize("fault", ["no-root-n-5", "no-root-with-blocks", "n-0-with-root",
+                                   "root-not-in-store"])
+def test_checker_reports_root_level_faults(fault):
+    tree = oracle_tree(range(10, 400, 13), HashedPriority(7), Params(2, 2))
+    root = tree.root
+    if fault == "no-root-n-5":
+        tree = Tree.empty(tree.params)
+        tree.n = 5
+    elif fault == "no-root-with-blocks":
+        tree.root, tree.n = None, 0
+    elif fault == "n-0-with-root":
+        tree.n = 0
+    else:
+        del tree.store.blocks[root]
+    report = check_invariants(tree)
+    assert not report.ok
+    assert any(v.startswith(("tree:", "store:", f"block {root}:")) for v in report.violations)
+
+
+def _slot_weight_lowered(params: Params, below) -> tuple[Tree, int]:
+    """A tree reloaded with the slot weight above a linked block that `below` picks
+    set to alpha, and that block's label."""
+    tree = oracle_tree(range(10, 4000, 13), HashedPriority(8), params)
+    blocks = tree.store.blocks
+    ref = next(c for l in sorted(blocks) if blocks[l].fanout > 1 for c in blocks[l].children
+               if c is not None and below(blocks[c.label]))
+    ref.weight = params.alpha
+    return Tree.from_image_bytes(tree.image()), ref.label
+
+
+def test_checker_names_a_child_below_a_light_fanout_block():
+    # loads do not check slot weights yet, so a fan-out block can carry one of
+    # at most alpha above its own children
+    tree, label = _slot_weight_lowered(Params.unbuffered(2), lambda b: any(b.children))
+    assert f"block {label}: child below a subtree of weight 2" in check_invariants(tree).violations
+
+
+def test_checker_names_a_chain_that_continues_below_a_light_weight():
+    tree, label = _slot_weight_lowered(
+        Params(2, 8), lambda b: b.fanout == 1 and b.children[0] is not None)
+    assert f"block {label}: chain continues below weight 2" in check_invariants(tree).violations
 
 
 @pytest.mark.parametrize("explicit", [False, True], ids=["hashed", "explicit"])

@@ -55,7 +55,7 @@ def test_fast_build_deep_path_without_recursion():
 class CollidingPriority:
     """Four-bit ranks: many keys share one, and ranks do not follow key order."""
 
-    seed_tag = 0
+    seed = 0
 
     def priority(self, key: int) -> tuple[int, int]:
         return ((key * 0x9E3779B97F4A7C15) & MASK64) >> 60, key

@@ -8,7 +8,7 @@ import rbst.update as upd
 from rbst import BlockStore, Params, Tree, check_invariants, delete, fanout_bound, insert
 from rbst.core import active_separators
 from rbst.errors import (
-    CorruptionError, DuplicateKeyError, InvalidPermutationError, MissingKeyError, NotFoundError,
+    ConfigError, CorruptionError, DuplicateKeyError, InvalidPermutationError, MissingKeyError, NotFoundError,
     RbstError,
 )
 from rbst.oracle import oracle_build, oracle_tree
@@ -83,6 +83,19 @@ def test_delete_missing_rejected_unchanged():
     with pytest.raises(MissingKeyError):
         delete(tree, 99)
     assert tree.image() == img
+
+
+@pytest.mark.parametrize("op", [insert, delete])
+@pytest.mark.parametrize("key", [-1, 1 << 64], ids=["minus-1", "2^64"])
+def test_update_refuses_a_key_outside_u64_without_io(op, key):
+    tree = build_by_inserts([5, 6, 7], Params(2, 1), seed=2)
+    img = tree.image()
+    tree.store.reset_stats()
+    with pytest.raises(ConfigError, match=f"key {key} outside the u64 universe"):
+        op(tree, key)
+    s = tree.store.stats()
+    assert (s.reads, s.writes, s.allocs, s.frees, s.peak_pinned) == (0,) * 5
+    assert tree.image() == img and not tree.store.aux
 
 
 def _refusal_sizes(alpha: int, rho: int) -> list[int]:
