@@ -21,12 +21,15 @@ recorded child slot, applied bottom-up after all commits, and reported
 separately in the receipt.
 
 Insert and delete share one case decision per block on the search path
-(`_classify`), and the descent settles membership before any commit: a
-duplicate is refused at the path block or wave holding it, a missing key
-where the descent or the list pass runs out.  Only the first fan-out
-anchor, which commits and then descends, is preceded by one `successor`
-search.  Every block an update touches is a counted read, including the
-re-read before an in-place rewrite.
+(`_classify`) and one branch where the descent runs out of blocks: the tree
+is empty, or the key's slot below a passed block is.  There an insert
+stages the one-key leaf and a delete is refused.  A key outside u64 is
+refused before any read; every other refusal is settled by the descent
+before any commit: a duplicate at the path block or wave holding it, a
+missing key where the descent or the list pass runs out.  Only the first
+fan-out anchor, which commits and then descends, is preceded by one
+`successor` search.  Every block an update touches is a counted read,
+including the re-read before an in-place rewrite.
 
 Main-memory discipline: scans keep an explicit stack of pending child
 labels and pin one block at a time, reading each block once.  A rebuild
@@ -96,7 +99,6 @@ class _Ctx:
     """Per-update bookkeeping: staged/freed/rewritten labels and path fixes."""
 
     def __init__(self, tree: Tree):
-        self.tree = tree
         self.store = tree.store
         self.prio = tree.prio
         self.params = tree.params
@@ -408,12 +410,11 @@ def _run_anchor(ctx: _Ctx, node: BlockNode, lo: int, hi: int, n_new: int,
 
 
 def _rewave(ctx: _Ctx, node: BlockNode, keys: list[int]) -> None:
-    """Rewrite the chain from `node` down with `keys` (by priority) in place of its array.
+    """Rewrite the chain from `node` down with `keys` (unranked) in place of its array.
 
-    `keys` rank below the waves under `node`, which are read once each
-    through `read_chain`, one pinned at a time, and marked obsolete.  Their
-    keys, at most alpha + rho + 1 with `keys`, are ranked in one call and
-    re-cut into waves after `keys`.
+    The waves under `node` are read once each through `read_chain`, one
+    pinned at a time, and marked obsolete.  Their keys join `keys`, at most
+    alpha + rho + 1 in all, and are ranked in one call and re-cut into waves.
     """
     ctx.mark_obsolete(node.label, node)
     tail: list[int] = []
@@ -422,7 +423,7 @@ def _rewave(ctx: _Ctx, node: BlockNode, keys: list[int]) -> None:
         for wave in ctx.store.read_chain(below.label):
             ctx.mark_obsolete(wave.label, wave)
             tail += wave.keys
-    keys = keys + _by_priority(ctx.prio, tail)
+    keys = _by_priority(ctx.prio, keys + tail)
     ctx.relabels[node.label] = _waves(keys, ctx.alpha, node.parent, node.depth, ctx.stage)
     ctx.commit_site()
 
@@ -431,22 +432,22 @@ def _list_insert(ctx: _Ctx, node: BlockNode, key: int) -> None:
     """From the head `node`, re-wave from the first wave whose maximum priority tops the key's.
 
     Waves ascend in priority, so a wave whose successor's label (its
-    smallest-priority key) ranks below the key is passed on that one hash.
-    A present key sits in a wave this pass reads, so each is checked.
+    smallest-priority key) ranks below the key is passed on that one hash;
+    the key ranks below every wave under the one it joins.  A present key
+    sits in a wave this pass reads, so each is checked.
     """
     prio = ctx.prio
     pi_x = prio.priority(key)
     while True:
         nxt = node.children[0]
-        if nxt is None or pi_x < prio.priority(nxt.label):
-            pool = list(map(prio.priority, node.keys))
-            if nxt is None or pi_x < max(pool):
-                break
+        if nxt is None or (pi_x < prio.priority(nxt.label)
+                           and pi_x < max(map(prio.priority, node.keys))):
+            break
         ctx.path.append((node.label, 0))
         node = ctx.read(nxt.label)
         if key in node.keys:
             raise DuplicateKeyError(f"key {key} already present")
-    _rewave(ctx, node, [k for _, k in sorted(pool + [pi_x])])
+    _rewave(ctx, node, node.keys + [key])
 
 
 def _list_delete(ctx: _Ctx, node: BlockNode, key: int) -> None:
@@ -457,23 +458,12 @@ def _list_delete(ctx: _Ctx, node: BlockNode, key: int) -> None:
             raise MissingKeyError(f"key {key} not present")
         ctx.path.append((node.label, 0))
         node = ctx.read(nxt.label)
-    _rewave(ctx, node, _by_priority(ctx.prio, [k for k in node.keys if k != key]))
+    _rewave(ctx, node, [k for k in node.keys if k != key])
 
 
 # ---------------------------------------------------------------------------
 # drivers
 # ---------------------------------------------------------------------------
-
-
-def _check_update(tree: Tree, key: int, op: str) -> None:
-    """Refuse a key outside u64 or a delete from an empty tree; reads no block.
-
-    Every other refusal is settled by the descent (`_update`).
-    """
-    if not 0 <= key <= MASK64:
-        raise ConfigError(f"key {key} outside the u64 universe")
-    if op == "delete" and tree.root is None:
-        raise MissingKeyError(f"key {key} not present")
 
 
 def _check_membership(tree: Tree, key: int, op: str) -> None:
@@ -492,14 +482,17 @@ def _classify(tree: Tree, node: BlockNode, n_sub: int, key: int, pi_x, op: str):
     passes it.  Otherwise (case, new_arr, adds, removes, key_below): a
     list case hands the block to the chain pass, any other case makes it
     the anchor that `_run_anchor` rebuilds with these arguments.  new_arr
-    is ranked here once, in ascending priority.
+    is ranked here once, in ascending priority.  A chain head that stays
+    fan-out one is a list case before any key is hashed; an insert only
+    raises the fan-out and a delete only lowers it, so one test of the
+    new fan-out against the old covers both ops.
     """
     prio, params = tree.prio, tree.params
     d_old = node.fanout
+    d_new = fanout_bound(n_sub + 1 if op == "insert" else n_sub - 1, params)
+    if d_old <= 1 and d_new <= 1:
+        return (CASE_LIST_INSERT if op == "insert" else CASE_LIST_DELETE), [], [], [], key
     if op == "insert":
-        d_new = fanout_bound(n_sub + 1, params)
-        if d_old <= 1 and d_new <= 1:
-            return CASE_LIST_INSERT, [], [], [], key
         if n_sub < params.alpha or pi_x < max(map(prio.priority, node.keys)):
             new_arr = _by_priority(prio, node.keys + [key])
             # a full array pushes its maximum-priority key down
@@ -508,19 +501,14 @@ def _classify(tree: Tree, node: BlockNode, n_sub: int, key: int, pi_x, op: str):
             active = key in new_arr[:d_new - 1]
             case = CASE_IN_ARRAY_ACTIVE if active else CASE_IN_ARRAY_INACTIVE
             return case, new_arr, pushed, [], None
-        if d_new > d_old:
-            return CASE_FANOUT_INCREASE, _by_priority(prio, node.keys), [], [], key
-        return None
-    d_new = fanout_bound(n_sub - 1, params)
-    if d_old <= 1:
-        return CASE_LIST_DELETE, [], [], [], key
-    if key in node.keys:
+    elif key in node.keys:
         child_labels = [c.label for c in node.children if c is not None]
         pulled = [min(child_labels, key=prio.priority)] if child_labels else []
         new_arr = _by_priority(prio, [k for k in node.keys if k != key] + pulled)
         return CASE_IN_ARRAY_DELETE, new_arr, [], pulled, None
-    if d_new < d_old:
-        return CASE_FANOUT_DECREASE, _by_priority(prio, node.keys), [], [], key
+    if d_new != d_old:
+        case = CASE_FANOUT_INCREASE if d_new > d_old else CASE_FANOUT_DECREASE
+        return case, _by_priority(prio, node.keys), [], [], key
     return None
 
 
@@ -530,14 +518,6 @@ def _follow(node: BlockNode, prio, key: int, lo: int, hi: int):
     j = bisect_right(seps, key)
     bounds = [lo] + seps + [hi]
     return j, node.children[j], bounds[j], bounds[j + 1]
-
-
-def _stage_leaf(ctx: _Ctx, key: int, parent: int | None, depth: int) -> None:
-    leaf = BlockNode([key], [None] * (ctx.alpha + 1), parent, depth,
-                     fanout_bound(1, ctx.params), key)
-    ctx.stage(leaf)
-    ctx.commit_site()
-    ctx.cases.append(CASE_LIST_NEW_BLOCK)
 
 
 def _apply_path_fixes(ctx: _Ctx, key: int, delta: int) -> None:
@@ -560,57 +540,46 @@ def _apply_path_fixes(ctx: _Ctx, key: int, delta: int) -> None:
         ctx.rewrite(node)
 
 
-def _finish(ctx: _Ctx, op: str, key: int, before, delta: int) -> UpdateReceipt:
-    _apply_path_fixes(ctx, key, delta)
-    tree = ctx.tree
-    if tree.root is not None and tree.root in ctx.relabels:
-        tree.root = ctx.relabels[tree.root]
-    tree.n += delta
-    if tree.n == 0:
-        tree.root = None
-    return ctx.receipt(op, key, before)
-
-
 def _update(tree: Tree, key: int, op: str) -> UpdateReceipt:
     """Greedy top-down descent that rebuilds at the blocks `_classify` picks.
 
     An update that raises discards what it staged and did not commit, so no
     later commit promotes it; only a corrupt tree raises after a stage.
     """
-    _check_update(tree, key, op)
+    if not 0 <= key <= MASK64:
+        raise ConfigError(f"key {key} outside the u64 universe")
     try:
         before = tree.store.stats()
         ctx = _Ctx(tree)
         delta = 1 if op == "insert" else -1
-        if tree.root is None:
-            _stage_leaf(ctx, key, None, 0)
-            tree.root = key
-            return _finish(ctx, op, key, before, delta)
         pi_x = tree.prio.priority(key) if op == "insert" else None
         cur, n_sub, lo, hi = tree.root, tree.n, NEG_INF, POS_INF
         while True:
+            if cur is None:
+                # the tree is empty, or the key's slot below the last block passed is
+                if op == "delete":
+                    raise MissingKeyError(f"key {key} not present")
+                parent, depth = (None, 0) if tree.root is None else (node.label, node.depth + 1)
+                ctx.stage(BlockNode([key], [None] * (ctx.alpha + 1), parent, depth,
+                                    fanout_bound(1, tree.params), key))
+                ctx.commit_site()
+                ctx.cases.append(CASE_LIST_NEW_BLOCK)
+                if tree.root is None:
+                    tree.root = key
+                break
             node = ctx.read(cur)
             if op == "insert" and key in node.keys:
                 raise DuplicateKeyError(f"key {key} already present")
             step = _classify(tree, node, n_sub, key, pi_x, op)
             if step is None:
                 slot, child, lo, hi = _follow(node, tree.prio, key, lo, hi)
-                if child is None:
-                    if op == "delete":
-                        raise MissingKeyError(f"key {key} not present")
-                    _stage_leaf(ctx, key, node.label, node.depth + 1)
-                    ctx.path.append((node.label, slot))
-                    break
                 ctx.path.append((node.label, slot))
-                cur, n_sub = child.label, child.weight
+                cur, n_sub = (None, 0) if child is None else (child.label, child.weight)
                 continue
             case, new_arr, adds, removes, key_below = step
             ctx.cases.append(case)
-            if case == CASE_LIST_INSERT:
-                _list_insert(ctx, node, key)
-                break
-            if case == CASE_LIST_DELETE:
-                _list_delete(ctx, node, key)
+            if case in (CASE_LIST_INSERT, CASE_LIST_DELETE):
+                (_list_insert if op == "insert" else _list_delete)(ctx, node, key)
                 break
             if key_below is not None and not ctx.freed:
                 # a fan-out anchor commits before the descent below it could
@@ -623,7 +592,10 @@ def _update(tree: Tree, key: int, op: str) -> UpdateReceipt:
             slot, ref, lo, hi = cont
             ctx.path.append((node.label, slot))
             cur, n_sub = ref.label, ref.weight
-        return _finish(ctx, op, key, before, delta)
+        _apply_path_fixes(ctx, key, delta)
+        tree.root = ctx.relabels.get(tree.root, tree.root)
+        tree.n += delta
+        return ctx.receipt(op, key, before)
     except BaseException:
         tree.store.aux.clear()
         raise

@@ -6,7 +6,8 @@ delete it if present) must leave the image of a fresh `oracle_build` of the
 new set, and the refused opposite must change nothing.  The same loop gives
 exact expectations under a uniform priority order: mean reads, writes,
 staged and freed blocks per (alpha, rho, op, set size), frozen below so an
-I/O change shows as an exact diff of the table.
+I/O change shows as an exact diff of the table.  Query reads are enumerated
+the same way where a closed form is known: on the treap.
 """
 
 from fractions import Fraction
@@ -14,7 +15,7 @@ from itertools import permutations
 
 import pytest
 
-from rbst import Params, check_invariants, delete, insert
+from rbst import Params, check_invariants, delete, insert, successor
 from rbst.errors import DuplicateKeyError, MissingKeyError
 from rbst.oracle import oracle_build, oracle_tree
 from rbst.priority import ExplicitPriority
@@ -209,3 +210,27 @@ def test_every_toggle_of_five_keys():
         got = _toggle_all([1, 2, 3, 4, 5], Params(alpha, rho))
         if (alpha, rho) in want:
             assert got["insert", 4][1] == want[alpha, rho]
+
+
+def _harmonic(m: int) -> Fraction:
+    return sum((Fraction(1, k) for k in range(1, m + 1)), Fraction(0))
+
+
+@pytest.mark.parametrize("u", [5, 6])
+def test_treap_successor_reads_are_harmonic(u):
+    # at (alpha, rho) = (1, 0) every block holds one key and the tree is the
+    # treap; its search path to the gap between keys i and i + 1 holds key j
+    # exactly when j ranks first among the keys from j to the gap (Seidel and
+    # Aragon, "Randomized search trees"), so E[reads] = H_i + H_{U-i}
+    universe = [10 * k for k in range(1, u + 1)]
+    orders = list(permutations(universe))
+    reads = [0] * (u + 1)
+    for order in orders:
+        tree = oracle_tree(universe, ExplicitPriority.from_order(order), Params(1, 0))
+        for i in range(u + 1):
+            before = tree.store.stats().reads
+            assert successor(tree, 10 * i + 5) == (10 * (i + 1) if i < u else None)
+            reads[i] += tree.store.stats().reads - before
+    got = [Fraction(r, len(orders)) for r in reads]
+    assert got == got[::-1]
+    assert got == [_harmonic(i) + _harmonic(u - i) for i in range(u + 1)]

@@ -1,7 +1,9 @@
+import random
+
 import numpy as np
 import pytest
 
-from rbst import Params, check_invariants, metrics
+from rbst import Params, check_invariants, delete, insert, metrics
 from rbst.errors import ConfigError
 from rbst.metrics import (
     ExperimentConfig, _distinct_sorted, bench_depth, bench_size, bench_updates,
@@ -72,6 +74,28 @@ def test_rank_ties_break_by_key(alpha, rho):
     prio, params = CollidingPriority(), Params(alpha, rho)
     tree = fast_build(keys, prio, params)
     assert tree.image() == oracle_build(keys.tolist(), prio, params)
+    report = check_invariants(tree)
+    assert report.ok, report.violations[:3]
+
+
+@pytest.mark.parametrize("alpha,rho", [(2, 4), (4, 16), (3, 0), (2, 40)])
+def test_updates_under_tied_ranks(alpha, rho):
+    # an update ranks new arrays, rebuilt sections and re-waved chains in
+    # one `_by_priority` call each, so tied ranks must fall to the key there
+    # too: after every insert and delete the image is the oracle's
+    rng = random.Random(alpha * 100 + rho)
+    keys = sorted(rng.sample(range(1 << 20), 64))
+    prio, params = CollidingPriority(), Params(alpha, rho)
+    tree = fast_build(np.array(keys, dtype=np.uint64), prio, params)
+    for i in range(300):
+        if i % 2:
+            key = keys.pop(rng.randrange(len(keys)))
+            delete(tree, key)
+        else:
+            key = next(k for k in iter(lambda: rng.randrange(1 << 20), None) if k not in keys)
+            keys.append(key)
+            insert(tree, key)
+        assert tree.image() == oracle_build(keys, prio, params), (i, key)
     report = check_invariants(tree)
     assert report.ok, report.violations[:3]
 

@@ -16,7 +16,7 @@ from rbst.priority import MASK64, ExplicitPriority, HashedPriority
 from rbst.store import parse_image
 from rbst.update import (
     CASE_FANOUT_DECREASE, CASE_FANOUT_INCREASE, CASE_IN_ARRAY_ACTIVE, CASE_IN_ARRAY_DELETE,
-    CASE_LIST_INSERT, CASE_LIST_NEW_BLOCK, _classify,
+    CASE_LIST_DELETE, CASE_LIST_INSERT, CASE_LIST_NEW_BLOCK, _classify,
 )
 
 from conftest import build_by_inserts
@@ -173,10 +173,19 @@ def test_updates_never_peek(monkeypatch):
 
 
 def test_delete_only_key():
-    tree = Tree.empty(Params.of(2, 0.5), seed=3)
-    insert(tree, 8)
-    delete(tree, 8)
-    assert tree.n == 0 and tree.root is None and not tree.store.blocks
+    # the buffered tree drops its last key by a list-delete, the unbuffered
+    # one by an in-array delete; each maps the root to None, and the empty
+    # tree then refuses a delete before any I/O
+    for params in (Params.of(2, 0.5), Params.unbuffered(2)):
+        tree = Tree.empty(params, seed=3)
+        insert(tree, 8)
+        delete(tree, 8)
+        assert tree.n == 0 and tree.root is None and not tree.store.blocks, params
+        tree.store.reset_stats()
+        with pytest.raises(MissingKeyError):
+            delete(tree, 8)
+        s = tree.store.stats()
+        assert (s.reads, s.writes, s.allocs, s.frees, s.peak_pinned) == (0,) * 5, params
 
 
 def test_insert_then_delete_restores_image():
@@ -415,7 +424,8 @@ class _CountingPriority(HashedPriority):
 @pytest.mark.parametrize("alpha", [1, 2, 4])
 def test_list_insert_classified_without_hashing(alpha):
     # a fan-out-1 chain head that stays fan-out 1 is a list-insert whatever
-    # the key's priority, so the classifier needs no hash of its keys
+    # the key's priority, and a list-delete of a key it holds, so the
+    # classifier needs no hash of its keys for either op
     params = Params(alpha, 64)
     keys = random.Random(alpha).sample(range(1 << 22), 30)
     prio = _CountingPriority(alpha)
@@ -423,10 +433,12 @@ def test_list_insert_classified_without_hashing(alpha):
     head = tree.store.peek(tree.root)
     assert head.fanout == 1 and fanout_bound(tree.n + 1, params) == 1
     pi_x = prio.priority(1 << 23)
-    prio.calls = 0
-    step = _classify(tree, head, tree.n, 1 << 23, pi_x, "insert")
-    assert step[0] == CASE_LIST_INSERT
-    assert prio.calls == 0
+    for op, key, pi, case in (("insert", 1 << 23, pi_x, CASE_LIST_INSERT),
+                              ("delete", head.keys[0], None, CASE_LIST_DELETE)):
+        prio.calls = 0
+        step = _classify(tree, head, tree.n, key, pi, op)
+        assert step[0] == case
+        assert prio.calls == 0, op
 
 
 @pytest.mark.parametrize("rho", [40, 80, 160])
