@@ -45,8 +45,10 @@ class BlockNode:
     label: int                    # minimum-priority key of `keys`
 
     def copy(self) -> "BlockNode":
+        """Own child slots, shared `keys`: no code mutates a key list in place, and none
+        may, for `BlockStore.rewrite` skips the key scan of a copy still holding it."""
         return BlockNode(
-            list(self.keys), list(self.children), self.parent,
+            self.keys, list(self.children), self.parent,
             self.depth, self.fanout, self.label,
         )
 

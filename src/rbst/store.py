@@ -8,9 +8,10 @@ because every update commits what it stages at that site before it stages
 anything at another.  Every block access goes through read/write calls
 that bump the counters; reads pin the block until the caller releases it,
 so peak_pinned measures how many blocks an algorithm really holds in main
-memory at once.  Every query walk reads through read_chain, which goes down
-slot 0 and stops after the first block whose fan-out is above one: one
-counted read per block, one pin held at a time, without a release call.
+memory at once.  Every query walk and every update's chain pass reads
+through read_chain, which goes down slot 0 and stops after the first block
+whose fan-out is above one: one counted read per block, one pin held at a
+time, without a release call.
 
 Image file format (all integers little-endian):
 
@@ -150,11 +151,13 @@ class BlockStore:
         self._stats.allocs += 1
 
     def rewrite(self, node: BlockNode) -> None:
-        """In-place overwrite of the UR block with node's label, one counted write."""
-        if node.label not in self.blocks:
+        """In-place overwrite of the UR block with node's label, one counted write.  Slot
+        count and fan-out are checked always, keys unless `node.keys` is the stored list."""
+        stored, alpha = self.blocks.get(node.label), self.alpha
+        if stored is None:
             raise NotFoundError(f"block label {node.label} not found")
-        bad = node.local_violation(self.alpha)
-        if bad is not None:
+        if (node.keys is not stored.keys or len(node.children) != alpha + 1
+                or not 1 <= node.fanout <= alpha + 1) and (bad := node.local_violation(alpha)):
             raise InvalidBlockError(bad)
         self.blocks[node.label] = node
         self._stats.writes += 1

@@ -34,14 +34,16 @@ including the re-read before an in-place rewrite.
 Main-memory discipline: scans keep an explicit stack of pending child
 labels and pin one block at a time, reading each block once.  A rebuild
 reads each old block of its section once and holds the section's S keys
-in memory while it lays the section out, so pooled keys are O(S); a chain
-re-wave holds the keys of the waves it rewrites, at most alpha + rho + 1.
+in memory while it lays the section out, so pooled keys are O(S).  A chain
+pass reads its waves in one `read_chain` walk, which the re-wave drains,
+and holds the keys of the waves it rewrites, at most alpha + rho + 1.
 The number of pinned blocks stays at one, constant in tree size.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from contextlib import closing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -112,7 +114,7 @@ class _Ctx:
         self._site_obsolete: dict[int, int] = {}
 
     def read(self, label: int) -> BlockNode:
-        """One counted read, released at once: no update holds a pin across calls."""
+        """One counted read, released at once; only a chain pass's walk keeps its pin."""
         node = self.store.read(label)
         self.store.release(label)
         return node
@@ -409,20 +411,27 @@ def _run_anchor(ctx: _Ctx, node: BlockNode, lo: int, hi: int, n_new: int,
 # ---------------------------------------------------------------------------
 
 
-def _rewave(ctx: _Ctx, node: BlockNode, keys: list[int]) -> None:
+def _chain_below(ctx: _Ctx, head: BlockNode):
+    """The waves under the chain head, read in one `read_chain` walk; close it on every exit."""
+    wave = head
+    if head.children[0] is not None:
+        for wave in ctx.store.read_chain(head.children[0].label):
+            yield wave
+    if wave.children[0] is not None:     # the walk stopped at a fan-out block
+        raise CorruptionError(f"block {wave.label}: fan-out {wave.fanout} inside a chain")
+
+
+def _rewave(ctx: _Ctx, node: BlockNode, keys: list[int], walk) -> None:
     """Rewrite the chain from `node` down with `keys` (unranked) in place of its array.
 
-    The waves under `node` are read once each through `read_chain`, one
-    pinned at a time, and marked obsolete.  Their keys join `keys`, at most
-    alpha + rho + 1 in all, and are ranked in one call and re-cut into waves.
+    The rest of the pass's `walk` yields the waves under `node`, each read once and
+    marked obsolete; their keys join `keys`, at most alpha + rho + 1, for one ranking.
     """
     ctx.mark_obsolete(node.label, node)
     tail: list[int] = []
-    below = node.children[0]
-    if below is not None:
-        for wave in ctx.store.read_chain(below.label):
-            ctx.mark_obsolete(wave.label, wave)
-            tail += wave.keys
+    for wave in walk:
+        ctx.mark_obsolete(wave.label, wave)
+        tail += wave.keys
     keys = _by_priority(ctx.prio, keys + tail)
     ctx.relabels[node.label] = _waves(keys, ctx.alpha, node.parent, node.depth, ctx.stage)
     ctx.commit_site()
@@ -438,27 +447,28 @@ def _list_insert(ctx: _Ctx, node: BlockNode, key: int) -> None:
     """
     prio = ctx.prio
     pi_x = prio.priority(key)
-    while True:
-        nxt = node.children[0]
-        if nxt is None or (pi_x < prio.priority(nxt.label)
-                           and pi_x < max(map(prio.priority, node.keys))):
-            break
-        ctx.path.append((node.label, 0))
-        node = ctx.read(nxt.label)
-        if key in node.keys:
-            raise DuplicateKeyError(f"key {key} already present")
-    _rewave(ctx, node, node.keys + [key])
+    with closing(_chain_below(ctx, node)) as walk:
+        while True:
+            nxt = node.children[0]
+            if nxt is None or (pi_x < prio.priority(nxt.label)
+                               and pi_x < max(map(prio.priority, node.keys))):
+                break
+            ctx.path.append((node.label, 0))
+            node = next(walk)
+            if key in node.keys:
+                raise DuplicateKeyError(f"key {key} already present")
+        _rewave(ctx, node, node.keys + [key], walk)
 
 
 def _list_delete(ctx: _Ctx, node: BlockNode, key: int) -> None:
     """From the head `node`, find the wave that holds the key; re-wave from it without the key."""
-    while key not in node.keys:
-        nxt = node.children[0]
-        if nxt is None:
-            raise MissingKeyError(f"key {key} not present")
-        ctx.path.append((node.label, 0))
-        node = ctx.read(nxt.label)
-    _rewave(ctx, node, [k for k in node.keys if k != key])
+    with closing(_chain_below(ctx, node)) as walk:
+        while key not in node.keys:
+            if node.children[0] is None:
+                raise MissingKeyError(f"key {key} not present")
+            ctx.path.append((node.label, 0))
+            node = next(walk)
+        _rewave(ctx, node, [k for k in node.keys if k != key], walk)
 
 
 # ---------------------------------------------------------------------------

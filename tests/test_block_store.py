@@ -179,6 +179,49 @@ def test_rewrite_refused_counts_nothing_and_changes_nothing(fault):
     assert {l: b.keys for l, b in store.aux.items()} == {7: [7]}
 
 
+def test_copy_shares_keys_and_not_children():
+    node = BlockNode([5, 9], [ChildRef(3, 1), None, None], None, 0, 2, 5)
+    dup = node.copy()
+    assert dup.keys is node.keys
+    assert dup.children == node.children and dup.children is not node.children
+
+
+def test_rewrite_of_a_copy_skips_the_key_scan(monkeypatch):
+    store = BlockStore(2)
+    store.blocks[5] = leaf([5, 9], 2)
+    node = store.blocks[5].copy()
+    node.children[0] = ChildRef(3, 1)
+    scanned = []
+    monkeypatch.setattr(BlockNode, "local_violation", lambda self, alpha: scanned.append(self))
+    store.rewrite(node)
+    assert scanned == [] and store.blocks[5] is node and store.stats().writes == 1
+
+
+@pytest.mark.parametrize("fault,message", [
+    ("slots", "block 5: 2 child slots, want 3"),
+    ("fanout", "block 5: fanout_state 0 outside 1..3"),
+    ("unsorted", "block 5: keys not strictly ascending at 9,5"),
+    ("overfull", "block 5: 3 keys exceed capacity 2"),
+])
+def test_rewrite_refuses_a_bad_copy_and_counts_nothing(fault, message):
+    # a copy sharing the stored keys skips their scan, never the slot count or
+    # the fan-out range; a copy given a new key list is scanned in full
+    store = BlockStore(2)
+    store.blocks[5] = leaf([5, 9], 2)
+    node = store.blocks[5].copy()
+    if fault == "slots":
+        node.children.pop()
+    elif fault == "fanout":
+        node.fanout = 0
+    else:
+        node.keys = [9, 5] if fault == "unsorted" else [5, 7, 9]
+    before = store.stats()
+    with pytest.raises(InvalidBlockError, match=message):
+        store.rewrite(node)
+    assert store.stats() == before
+    assert store.blocks[5] is not node and store.blocks[5].keys == [5, 9]
+
+
 def test_pin_release_cycle():
     store = BlockStore(2)
     store.blocks[5] = leaf([5], 2)

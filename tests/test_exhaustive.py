@@ -15,7 +15,7 @@ from itertools import permutations
 
 import pytest
 
-from rbst import Params, check_invariants, delete, insert, successor
+from rbst import Params, check_invariants, delete, insert, select_kth, successor
 from rbst.errors import DuplicateKeyError, MissingKeyError
 from rbst.oracle import oracle_build, oracle_tree
 from rbst.priority import ExplicitPriority
@@ -234,3 +234,25 @@ def test_treap_successor_reads_are_harmonic(u):
     got = [Fraction(r, len(orders)) for r in reads]
     assert got == got[::-1]
     assert got == [_harmonic(i) + _harmonic(u - i) for i in range(u + 1)]
+
+
+@pytest.mark.parametrize("u", [5, 6])
+def test_treap_select_reads_are_harmonic(u):
+    # on the treap select_kth(k) reads the path to key k: key j is on it
+    # exactly when j ranks first among the keys from j to k, so
+    # E[reads] = H_k + H_{U-k+1} - 1
+    universe = [10 * k for k in range(1, u + 1)]
+    orders = list(permutations(universe))
+    reads = [0] * u
+    for order in orders:
+        tree = oracle_tree(universe, ExplicitPriority.from_order(order), Params(1, 0))
+        for k in range(1, u + 1):
+            before = tree.store.stats().reads
+            assert select_kth(tree, k) == 10 * k
+            reads[k - 1] += tree.store.stats().reads - before
+    got = [Fraction(r, len(orders)) for r in reads]
+    assert got == got[::-1]
+    assert got == [_harmonic(k) + _harmonic(u - k + 1) - 1 for k in range(1, u + 1)]
+    if u == 5:
+        assert got == [Fraction(137, 60), Fraction(31, 12), Fraction(8, 3),
+                       Fraction(31, 12), Fraction(137, 60)]

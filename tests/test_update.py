@@ -6,6 +6,7 @@ import pytest
 
 import rbst.update as upd
 from rbst import BlockStore, Params, Tree, check_invariants, delete, fanout_bound, insert
+from rbst.blocks import ChildRef
 from rbst.core import active_separators
 from rbst.errors import (
     ConfigError, CorruptionError, DuplicateKeyError, InvalidPermutationError, MissingKeyError, NotFoundError,
@@ -531,6 +532,45 @@ def test_update_that_raises_leaves_nothing_staged():
             raised.append(after.allocs - before.allocs)
             assert not tree.store.aux and after.cur_pinned == 0
     assert raised[0] > 0 and len(raised) > 1
+
+
+@pytest.mark.parametrize("fault", ["duplicate", "missing", "dangling", "fanout"])
+def test_chain_pass_refusal_drops_its_pin(fault):
+    # a list pass holds its read_chain walk's one pin across waves; a refusal
+    # found midway down or at the chain's end must drop it while the
+    # exception's traceback still holds the pass's frame, and stage and write
+    # nothing: a duplicate in a middle wave, a delete of a gap key that walks
+    # off the chain's end, a dangling slot-0 label and a fan-out block midway
+    keys = random.Random(5).sample(range(2, 1 << 20, 2), 80)
+    tree = oracle_tree(keys, HashedPriority(5), Params(2, 40))
+    blocks = tree.store.blocks
+    above, chain = 0, [blocks[tree.root]]     # fan-out blocks down the heaviest slots
+    while chain[0].fanout > 1:
+        above += 1
+        chain = [blocks[max(filter(None, chain[0].children), key=lambda c: c.weight).label]]
+    while chain[-1].children[0] is not None:
+        chain.append(blocks[chain[-1].children[0].label])
+    mid = chain[len(chain) // 2]
+    assert above and len(chain) >= 10
+    # a refusal midway down reads the blocks above, the waves to mid and mid
+    op, key, err, reads = delete, min(mid.keys) + 1, MissingKeyError, above + len(chain)
+    if fault == "duplicate":
+        op, key, err, reads = insert, mid.keys[-1], DuplicateKeyError, above + 1 + len(chain) // 2
+    elif fault == "dangling":
+        mid.children[0] = ChildRef(1, mid.children[0].weight)
+        err, reads = NotFoundError, above + 1 + len(chain) // 2
+    elif fault == "fanout":
+        mid.fanout = 2
+        err, reads = CorruptionError, above + 1 + len(chain) // 2
+    img, before = tree.image(), tree.store.stats()
+    with pytest.raises(err) as caught:
+        op(tree, key)
+    after = tree.store.stats()
+    assert caught.value is not None and after.cur_pinned == 0 and not tree.store.aux
+    assert after.reads - before.reads == reads
+    assert (after.writes, after.allocs, after.frees) == (
+        before.writes, before.allocs, before.frees)
+    assert tree.image() == img and tree.n == 80
 
 
 def test_update_refuses_a_slot_weight_its_section_does_not_hold():
