@@ -16,7 +16,8 @@ separators, the smallest-priority keys of their array.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
+from bisect import insort  # noqa: F401  (perfbench/tracing.py traces rbst.core.insort)
 from dataclasses import dataclass
 from itertools import chain
 
@@ -167,15 +168,19 @@ def search_path_profile(tree: Tree, q: int) -> tuple[int, int]:
 
 
 def range_report(tree: Tree, lo: int, hi: int) -> list[int]:
-    """All stored keys in [lo, hi], ascending."""
+    """All stored keys in [lo, hi], ascending.
+
+    One counted read per block that `scan_keys` visits.  Each block's keys in
+    range are gathered by one slice and the O(k) gathered keys are sorted once
+    in memory, as u64 (every stored key is one), which adds no read.
+    """
     if lo > hi:
         raise InvalidRangeError(f"lo {lo} > hi {hi}")
     out: list[int] = []
     if tree.root is None:
         return out
-    scan_keys(tree.store, tree.prio, tree.root, lo - 1, hi + 1,
-              on_key=lambda k: insort(out, k))
-    return out
+    scan_keys(tree.store, tree.prio, tree.root, lo - 1, hi + 1, out=out)
+    return np.sort(np.fromiter(out, np.uint64, len(out))).tolist()
 
 
 def range_count(tree: Tree, lo: int, hi: int) -> int:
@@ -219,7 +224,7 @@ def select_kth(tree: Tree, k: int) -> int:
             keys += node.keys
         if node.fanout <= 1:
             if k <= len(keys):
-                return sorted(keys)[k - 1]
+                return int(np.partition(np.fromiter(keys, np.uint64, len(keys)), k - 1)[k - 1])
             break
         seps = active_separators(node, prio)
         # the inactive keys and the ancestors', each slot's share cut out by its separator
@@ -248,7 +253,7 @@ def select_kth(tree: Tree, k: int) -> int:
 
 
 def scan_keys(store: BlockStore, prio, root_label: int, lo: int, hi: int,
-              on_key=None, on_block=None) -> None:
+              out: list[int] | None = None, on_block=None) -> None:
     """Visit every block of the subtree whose key interval can meet (lo, hi).
 
     Pre-order on an explicit stack of pending labels.  Each popped label is
@@ -260,21 +265,21 @@ def scan_keys(store: BlockStore, prio, root_label: int, lo: int, hi: int,
     missing outer bounds widen the test, which never adds spurious visits
     because a visited parent already overlaps (lo, hi).
 
-    on_key(key) runs for every stored key in (lo, hi), in pre-order and
-    ascending within a block; on_block(label, node) runs once per visited
-    block.  A partial rebuild gathers its section's keys, `range_report` its
-    output and `search_path_profile` its path, with one call; a caller that
-    leaves keys out filters what on_key receives.
+    Each visited block appends its keys in (lo, hi) to `out` with one slice,
+    so `out` gains them in pre-order and ascending within a block;
+    on_block(label, node) runs once per visited block.  A partial rebuild
+    gathers its section's keys, `range_report` its output and
+    `search_path_profile` its path, with one call; a caller that leaves keys
+    out filters `out` afterwards.
     """
     stack = [root_label]
     while stack:
         for node in store.read_chain(stack.pop()):
             if on_block is not None:
                 on_block(node.label, node)
-            if on_key is not None:
+            if out is not None:
                 keys = node.keys
-                for key in keys[bisect_right(keys, lo): bisect_left(keys, hi)]:
-                    on_key(key)
+                out += keys[bisect_right(keys, lo): bisect_left(keys, hi)]
         if node.fanout <= 1:
             continue
         seps = active_separators(node, prio)

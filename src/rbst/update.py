@@ -179,8 +179,7 @@ def _top_pass(ctx: _Ctx, sources, lo: int, hi: int, include, exclude) -> list[in
     """
     pool: list[int] = []
     for src in sources:
-        scan_keys(ctx.store, ctx.prio, src, lo, hi, on_key=pool.append,
-                  on_block=ctx.mark_obsolete)
+        scan_keys(ctx.store, ctx.prio, src, lo, hi, out=pool, on_block=ctx.mark_obsolete)
     excl = set(exclude)
     pool = [key for key in pool if key not in excl] + [key for key in include if lo < key < hi]
     return _by_priority(ctx.prio, pool)
@@ -188,7 +187,7 @@ def _top_pass(ctx: _Ctx, sources, lo: int, hi: int, include, exclude) -> list[in
 
 def _count_pass(ctx: _Ctx, source: int, lo: int, hi: int, exclude=()) -> int:
     keys: list[int] = []
-    scan_keys(ctx.store, ctx.prio, source, lo, hi, on_key=keys.append)
+    scan_keys(ctx.store, ctx.prio, source, lo, hi, out=keys)
     return len(set(keys).difference(exclude))
 
 

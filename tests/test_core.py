@@ -168,6 +168,29 @@ def test_queries_against_sorted_oracle(alpha, rho, seed):
         assert select_kth(tree, k) == keys[k - 1]
 
 
+U64_EDGES = [0, 1, (1 << 63) - 1, 1 << 63, (1 << 63) + 1, (1 << 64) - 2, (1 << 64) - 1]
+
+
+@pytest.mark.parametrize("alpha,rho", [(1, 0), (4, 864)])
+def test_queries_at_the_u64_extremes_return_python_ints(alpha, rho):
+    # keys on both sides of 2^63 and at both ends of u64: a signed cast or a
+    # numpy scalar in the sort or the partition would show here
+    rng = random.Random(alpha)
+    keys = sorted(set(U64_EDGES + [rng.getrandbits(64) for _ in range(300)]))
+    tree = oracle_tree(keys, HashedPriority(alpha), Params(alpha, rho))
+    ranges = [(lo, hi) for lo in U64_EDGES[:4] for hi in U64_EDGES[3:] if lo <= hi]
+    ranges += [(rng.randrange(1 << 63), rng.randrange(1 << 63, 1 << 64)) for _ in range(20)]
+    ranges += [(-5, 2 ** 70)]
+    for lo, hi in ranges:
+        got = range_report(tree, lo, hi)
+        assert got == [k for k in keys if lo <= k <= hi]
+        assert all(type(k) is int for k in got)
+    for k in range(1, len(keys) + 1):
+        got = select_kth(tree, k)
+        assert got == keys[k - 1]
+        assert type(got) is int
+
+
 def test_query_purity_no_writes():
     rng = random.Random(9)
     tree = oracle_tree(rng.sample(range(10_000), 300), HashedPriority(1),
@@ -484,10 +507,14 @@ def test_scan_reads_each_block_once_in_preorder(case):
         want: list[int] = []
         _preorder(store, tree.prio, tree.root, lo, hi, want)
         visited: list[int] = []
+        out: list[int] = []
         store.reset_stats()
-        scan_keys(store, tree.prio, tree.root, lo, hi,
+        scan_keys(store, tree.prio, tree.root, lo, hi, out=out,
                   on_block=lambda label, node: visited.append(label))
         assert visited == want
+        # one slice per visited block: its keys in (lo, hi), in visit order
+        assert out == [key for label in visited for key in store.peek(label).keys
+                       if lo < key < hi]
         assert store.stats().reads == len(visited)
         assert store.stats().peak_pinned == 1
         assert store.stats().cur_pinned == 0

@@ -15,7 +15,9 @@ from itertools import permutations
 
 import pytest
 
-from rbst import Params, check_invariants, delete, insert, select_kth, successor
+from rbst import (
+    Params, check_invariants, delete, insert, range_report, select_kth, successor,
+)
 from rbst.errors import DuplicateKeyError, MissingKeyError
 from rbst.oracle import oracle_build, oracle_tree
 from rbst.priority import ExplicitPriority
@@ -256,3 +258,25 @@ def test_treap_select_reads_are_harmonic(u):
     if u == 5:
         assert got == [Fraction(137, 60), Fraction(31, 12), Fraction(8, 3),
                        Fraction(31, 12), Fraction(137, 60)]
+
+
+@pytest.mark.parametrize("u", [5, 6])
+def test_treap_range_report_reads_are_harmonic(u):
+    # range_report(10i, 10j) scans (10i - 1, 10j + 1) on the treap: it reads
+    # the j - i + 1 keys in range, and a key m < i exactly when m ranks first
+    # among keys m..i-1, so that its interval reaches key i (likewise on the
+    # right), so E[reads] = (j - i + 1) + H_{i-1} + H_{U-j}.  That includes the
+    # spine of each boundary key's inner subtree, where no key is in range
+    universe = [10 * k for k in range(1, u + 1)]
+    orders = list(permutations(universe))
+    pairs = [(i, j) for i in range(1, u + 1) for j in range(i, u + 1)]
+    reads = dict.fromkeys(pairs, 0)
+    for order in orders:
+        tree = oracle_tree(universe, ExplicitPriority.from_order(order), Params(1, 0))
+        for i, j in pairs:
+            before = tree.store.stats().reads
+            assert range_report(tree, 10 * i, 10 * j) == universe[i - 1:j]
+            reads[i, j] += tree.store.stats().reads - before
+    got = {pair: Fraction(r, len(orders)) for pair, r in reads.items()}
+    assert all(got[i, j] == got[u + 1 - j, u + 1 - i] for i, j in pairs)
+    assert got == {(i, j): (j - i + 1) + _harmonic(i - 1) + _harmonic(u - j) for i, j in pairs}
