@@ -303,10 +303,10 @@ class InvariantReport:
 
 
 def _block_extremes(prio, blocks) -> dict:
-    """Store label -> (minimum-priority key, maximum priority) of each block, from
-    one `prio.ranks` call and two segment reductions over the blocks' offsets; a
-    rank tie goes to a block's first key for the minimum and its last for the
-    maximum.  Empty if the batch holds a key outside u64 or `prio` refuses it."""
+    """Store label -> (minimum priority, maximum priority) of each block, from one
+    `prio.ranks` call and two segment reductions over the blocks' offsets; a rank
+    tie goes to a block's first key for the minimum and its last for the maximum.
+    Empty if the batch holds a key outside u64 or `prio` refuses it."""
     batch = {label: node.keys for label, node in blocks.items() if node.keys}
     try:
         keys = np.fromiter(chain.from_iterable(batch.values()), np.uint64)
@@ -320,7 +320,7 @@ def _block_extremes(prio, blocks) -> dict:
     at_high = np.flatnonzero(ranks == np.repeat(high, sizes))
     first = keys[at_low[np.searchsorted(at_low, starts)]].tolist()
     last = keys[at_high[np.searchsorted(at_high, starts + sizes) - 1]].tolist()
-    return dict(zip(batch, zip(first, zip(high.tolist(), last))))
+    return dict(zip(batch, zip(zip(low.tolist(), first), zip(high.tolist(), last))))
 
 
 _VISIT, _SLOT, _CLOSE = range(3)
@@ -334,9 +334,10 @@ def check_invariants(tree: Tree) -> InvariantReport:
     frame runs a fan-out block's per-slot checks from one slot on, once the
     earlier slots' subtrees are done; a close frame compares a slot's weight
     with the keys counted since its child was opened, on one running count.
-    Each block's minimum-priority key and maximum priority come from
-    `_block_extremes`, or from `tree.prio` when it leaves them out (where an
-    unranked key raises), as do child labels' priorities and separators.
+    Each block's priority extremes come from `_block_extremes`, or from
+    `tree.prio` when it leaves them out (where an unranked key raises).  A
+    child label's priority is its block's minimum when that block is labelled
+    by its minimum-priority key, else `tree.prio`'s, as are separators.
     With no root the walk is empty, so a nonzero n fails the closing key count
     and any block is unreachable; a root label the store lacks is dangling."""
     params, prio, blocks = tree.params, tree.prio, tree.store.blocks
@@ -344,6 +345,11 @@ def check_invariants(tree: Tree) -> InvariantReport:
     bad: list[str] = []
     seen: set[int] = set()
     table, counted = _block_extremes(prio, blocks), 0
+
+    def priority(label: int):
+        entry = table.get(label)
+        return entry[0] if entry is not None and entry[0][1] == label else prio.priority(label)
+
     # (_VISIT, label, weight, parent, depth, lo, hi), (_CLOSE, parent, label, weight,
     # count at opening), (_SLOT, label, node, first slot, bounds, max priority, weight, depth)
     stack = [] if tree.root is None else [(_VISIT, tree.root, tree.n, None, 0, NEG_INF, POS_INF)]
@@ -367,7 +373,7 @@ def check_invariants(tree: Tree) -> InvariantReport:
                 if weight <= alpha:
                     bad.append(f"block {label}: child below a subtree of weight {weight}")
                     continue
-                if prio.priority(child.label) <= p_max:
+                if priority(child.label) <= p_max:
                     bad.append(f"block {label}: child {child.label} has priority below the array")
                 stack += ((_SLOT, label, node, i + 1, bounds, p_max, weight, depth),
                           (_CLOSE, label, child.label, child.weight, counted),
@@ -396,9 +402,9 @@ def check_invariants(tree: Tree) -> InvariantReport:
             bad.append(f"block {label}: depth {node.depth}, want {depth}")
         if node.label != label:
             bad.append(f"block {label}: label field {node.label}")
-        low, p_max = table.get(label) or (min(keys, key=prio.priority),
-                                          max(map(prio.priority, keys)))
-        if low != label:
+        p_min, p_max = table.get(label) or (min(map(prio.priority, keys)),
+                                            max(map(prio.priority, keys)))
+        if p_min[1] != label:
             bad.append(f"block {label}: label is not the minimum-priority key")
         # the keys ascend (local_violation), so the ends decide; the loop names a fault
         if not (lo < keys[0] and keys[-1] < hi):
@@ -424,7 +430,7 @@ def check_invariants(tree: Tree) -> InvariantReport:
         if child is not None:
             if weight <= alpha:
                 bad.append(f"block {label}: chain continues below weight {weight}")
-            if prio.priority(child.label) <= p_max:
+            if priority(child.label) <= p_max:
                 bad.append(f"block {label}: chain priorities not ascending")
             if child.weight != weight - len(keys):
                 bad.append(f"block {label}: chain weight {child.weight}, want {weight - len(keys)}")

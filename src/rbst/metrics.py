@@ -8,9 +8,10 @@ than assumed.  All randomness derives from the configured seed base, so
 identical configs produce identical CSV bytes.
 
 Trees at bench scale are built by `fast_build`: one numpy ranking of the
-key set, then the explicit-stack layout routine that partial rebuilds use
-(`update.layout_subtree`).  The reference builder in `oracle.py` shares
-none of it, and the test suite checks the two for byte equality.
+key set into one uint64 array, then the explicit-stack layout routine that
+partial rebuilds use (`update.layout_subtree`).  The reference builder in
+`oracle.py` shares none of it, and the test suite checks the two for byte
+equality.
 
 Key sets are made distinct by `_distinct_sorted` (one sort and a mask of
 unequal neighbours): numpy 2.4's hash-based `np.unique` gives the same
@@ -29,7 +30,7 @@ from .core import C_RHO, Params, Tree, check_invariants, range_report, search_pa
 from .errors import ConfigError
 from .priority import HashedPriority
 from .store import BlockStore
-from .update import UpdateReceipt, _by_priority, delete, insert, layout_subtree
+from .update import UpdateReceipt, _ranked, delete, insert, layout_subtree
 
 RECEIPT_COLUMNS = ("m", "m_prime", "reads", "writes", "d_prime")
 
@@ -143,9 +144,12 @@ def fast_build(keys: np.ndarray, prio, params: Params) -> Tree:
     """The tree over `keys` (any order, duplicates dropped); same image as oracle_build.
 
     Duplicates go by `_distinct_sorted`, not the far slower `np.unique`. The
-    keys are ranked once by `_by_priority`, straight from the array, and laid
-    out by `layout_subtree`, the routine a partial rebuild uses; each
-    emitted block is stored by its label.
+    keys are ranked once by `_ranked` into one uint64 array and laid out by
+    `layout_subtree`, the routine a partial rebuild uses; each emitted block
+    is stored by its label.  The layout boxes a block's ints as it emits the
+    block, so they lie next to it in memory: ints boxed in priority order
+    over the whole set made successor about a third slower on the
+    chain-heavy trees (alpha 4 and 16 at c_rho 108, n = 1e5).
     """
     keys = _distinct_sorted(np.asarray(keys, dtype=np.uint64))
     n = len(keys)
@@ -156,20 +160,11 @@ def fast_build(keys: np.ndarray, prio, params: Params) -> Tree:
     blocks = store.blocks
 
     def emit(node: BlockNode) -> None:
-        # `k + 0` boxes each int anew, next to its block: the ranking boxed
-        # every key in priority order over the whole set, and with a block's
-        # ints scattered so, successor ran about a third slower on the
-        # chain-heavy trees (alpha 4 and 16 at c_rho 108, n = 1e5)
-        node.keys = [k + 0 for k in node.keys]
-        node.label += 0
-        for ref in node.children:
-            if ref is not None:
-                ref.label += 0
         blocks[node.label] = node
 
-    pool = _by_priority(prio, keys)
+    pool = _ranked(prio, keys)
     layout_subtree(pool, params, None, 0, emit)
-    tree.root = pool[0]
+    tree.root = int(pool[0])
     return tree
 
 

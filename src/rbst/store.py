@@ -32,7 +32,7 @@ Only the UR region is serialized; auxiliary blocks never reach an image.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .blocks import BlockNode, pack_record, record_struct, unpack_record
 from .errors import AccountingError, CorruptionError, FormatError, InvalidBlockError, NotFoundError
@@ -184,7 +184,8 @@ class BlockStore:
     # -- stats --------------------------------------------------------
 
     def stats(self) -> IoStats:
-        return replace(self._stats)
+        s = self._stats
+        return IoStats(s.reads, s.writes, s.allocs, s.frees, s.cur_pinned, s.peak_pinned)
 
     def reset_stats(self) -> None:
         """Zero the counters in place, so a chain walk under way keeps counting into them."""

@@ -8,8 +8,9 @@ out again; every other child subtree is re-linked untouched.  A rebuilt
 section is read once: `_top_pass` scans each old subtree that overlaps it,
 adds the keys pushed down into it, and ranks the pool in one call.  Its
 subtree is then laid out in memory by `layout_subtree`, on one explicit
-stack, root first, in pre-order, and staged into auxiliary storage; the
-staged blocks are promoted to the UR region in one atomic commit.
+stack, root first, in pre-order, binning a large pool in numpy and a small
+one by bisect, and staged into auxiliary storage; the staged blocks are
+promoted to the UR region in one atomic commit.
 `metrics.fast_build` lays out a whole tree with the same routine, so a
 rebuilt section is a fresh build of its keys by construction.  Chains
 (fan-out one) are cut into priority waves by one emitter, `_waves`, whether
@@ -34,10 +35,12 @@ including the re-read before an in-place rewrite.
 Main-memory discipline: scans keep an explicit stack of pending child
 labels and pin one block at a time, reading each block once.  A rebuild
 reads each old block of its section once and holds the section's S keys
-in memory while it lays the section out, so pooled keys are O(S).  A chain
-pass reads its waves in one `read_chain` walk, which the re-wave drains,
-and holds the keys of the waves it rewrites, at most alpha + rho + 1.
-The number of pinned blocks stays at one, constant in tree size.
+in memory while it lays the section out: from `_ARRAY_FROM` keys on they
+are one uint64 array, O(S) u64 words, and a block's keys become ints only
+as it is emitted.  A chain pass reads its waves in one `read_chain` walk,
+which the re-wave drains, and holds the keys of the waves it rewrites, at
+most alpha + rho + 1.  The number of pinned blocks stays at one, constant
+in tree size.
 """
 
 from __future__ import annotations
@@ -57,6 +60,8 @@ from .priority import MASK64
 
 # fewer keys rank faster by hashing each in Python than by one numpy call
 _NUMPY_FROM = 32   # the two paths cross at 24-32 keys on a 2-vCPU x86 host
+# fewer keys are laid out faster from a list, by bisect, than from a uint64 array
+_ARRAY_FROM = 128  # set-up was flat over 64-256 keys, slower at 32 and 512 (same host)
 
 CASE_LIST_NEW_BLOCK = "list-new-block"
 CASE_LIST_INSERT = "list-insert"
@@ -170,8 +175,8 @@ class _Ctx:
 # ---------------------------------------------------------------------------
 
 
-def _top_pass(ctx: _Ctx, sources, lo: int, hi: int, include, exclude) -> list[int]:
-    """Every key of the section (lo, hi), in ascending priority: the rebuild's only store pass.
+def _top_pass(ctx: _Ctx, sources, lo: int, hi: int, include, exclude):
+    """Every key of the section (lo, hi), ranked by `_ranked`: the rebuild's only store pass.
 
     Stored keys come from one scan per source subtree, less `exclude`; each
     visited block is read once and marked obsolete.  The `include` keys in
@@ -182,7 +187,7 @@ def _top_pass(ctx: _Ctx, sources, lo: int, hi: int, include, exclude) -> list[in
         scan_keys(ctx.store, ctx.prio, src, lo, hi, out=pool, on_block=ctx.mark_obsolete)
     excl = set(exclude)
     pool = [key for key in pool if key not in excl] + [key for key in include if lo < key < hi]
-    return _by_priority(ctx.prio, pool)
+    return _ranked(ctx.prio, pool)
 
 
 def _count_pass(ctx: _Ctx, source: int, lo: int, hi: int, exclude=()) -> int:
@@ -196,36 +201,55 @@ def _count_pass(ctx: _Ctx, source: int, lo: int, hi: int, exclude=()) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _bin_pass(keys: list[int], seps: list[int]) -> list[list[int]]:
-    """`keys` split into the len(seps) + 1 slots that the ascending `seps` bound, order kept."""
+def _bin_pass(keys, seps: list[int]) -> list:
+    """`keys` split into the len(seps) + 1 slots that the ascending `seps` bound, order kept.
+
+    A uint64 array is binned in numpy: one search against the separators and
+    one stable sort of the slot numbers.  A bin below `_ARRAY_FROM` keys
+    leaves as a list of ints, a larger one as a sub-array.
+    """
+    if isinstance(keys, np.ndarray):
+        slots = np.searchsorted(np.array(seps, np.uint64), keys, side="right")
+        ends = np.cumsum(np.bincount(slots, minlength=len(seps) + 1)).tolist()
+        # slot numbers fit 16 bits (alpha <= 65534), which numpy's stable sort takes by radix
+        keys = keys[slots.astype(np.uint16).argsort(kind="stable")]
+        return [sub.tolist() if len(sub) < _ARRAY_FROM else sub
+                for sub in map(keys.__getitem__, map(slice, [0] + ends[:-1], ends))]
     bins: list[list[int]] = [[] for _ in range(len(seps) + 1)]
     for key in keys:
         bins[bisect_right(seps, key)].append(key)
     return bins
 
 
-def _assemble(params: Params, keys: list[int], parent: int | None, depth: int):
+def _assemble(params: Params, keys, parent: int | None, depth: int):
     """One block over `keys` (ascending priority); returns (node, keys of each child slot).
 
     The array holds the alpha smallest-priority keys and is labelled by the
     first; the d - 1 smallest are the separators that bin the rest.  Each
-    child's label is the first key of its slot.
+    child's label is the first key of its slot.  A uint64 `keys` gives the
+    block its own ints, boxed as it is emitted.
     """
     alpha = params.alpha
     d = fanout_bound(len(keys), params)
-    node = BlockNode(sorted(keys[:alpha]), [None] * (alpha + 1), parent, depth, d, keys[0])
-    bins = _bin_pass(keys[alpha:], sorted(keys[: d - 1]))
+    head = keys[:alpha]
+    if isinstance(head, np.ndarray):
+        head = head.tolist()
+    node = BlockNode(sorted(head), [None] * (alpha + 1), parent, depth, d, head[0])
+    bins = _bin_pass(keys[alpha:], sorted(head[: d - 1]))
     for i, sub in enumerate(bins):
-        if sub:
-            node.children[i] = ChildRef(sub[0], len(sub))
+        if len(sub):
+            node.children[i] = ChildRef(int(sub[0]), len(sub))
     return node, bins
 
 
-def _by_priority(prio, keys) -> list[int]:
-    """`keys` (ints or a uint64 array) as ints in ascending priority.
+def _ranked(prio, keys):
+    """`keys` (ints or a uint64 array) in ascending priority, in the form a layout takes.
 
     Ranked in one numpy call from `_NUMPY_FROM` keys on, and sorted by rank
-    alone unless two ranks tie, when the key breaks the tie.
+    alone unless two ranks tie, when the key breaks the tie.  From
+    `_ARRAY_FROM` keys on the result stays a uint64 array, which `_bin_pass`
+    and `_waves` keep whole until they emit the blocks holding its keys; below
+    that it is a list of ints.
     """
     if len(keys) < _NUMPY_FROM:
         if isinstance(keys, np.ndarray):
@@ -236,32 +260,51 @@ def _by_priority(prio, keys) -> list[int]:
     order = ranks.argsort()
     if (ranks[order[1:]] == ranks[order[:-1]]).any():
         order = np.lexsort((arr, ranks))
-    return arr[order].tolist()
+    return arr[order] if len(arr) >= _ARRAY_FROM else arr[order].tolist()
 
 
-def _waves(keys: list[int], alpha: int, parent: int | None, depth: int, emit) -> int | None:
+def _by_priority(prio, keys) -> list[int]:
+    """`keys` (ints or a uint64 array) as ints in ascending priority: `_ranked` as a list."""
+    ranked = _ranked(prio, keys)
+    return ranked if isinstance(ranked, list) else ranked.tolist()
+
+
+def _waves(keys, alpha: int, parent: int | None, depth: int, emit) -> int | None:
     """Emit `keys` (ascending priority) as a chain of linked waves; returns the head label.
 
-    Each alpha-slice is one wave, linked to the next slice's head.
+    Each alpha-slice is one wave, linked to the next slice's head.  A uint64
+    array is cut in one row-wise sort, and each wave's keys are boxed as it is
+    emitted, next to its block.
     """
-    for i in range(0, len(keys), alpha):
-        node = BlockNode(sorted(keys[i:i + alpha]), [None] * (alpha + 1),
-                         parent, depth, 1, keys[i])
-        if i + alpha < len(keys):
-            node.children[0] = ChildRef(keys[i + alpha], len(keys) - i - alpha)
+    n = len(keys)
+    if isinstance(keys, np.ndarray):
+        full = n - n % alpha
+        rows = list(np.sort(keys[:full].reshape(-1, alpha), axis=1))
+        if full < n:
+            rows.append(np.sort(keys[full:]))
+        waves = map(np.ndarray.tolist, rows)
+        labels = keys[::alpha].tolist()
+    else:
+        waves = [sorted(keys[i:i + alpha]) for i in range(0, n, alpha)]
+        labels = keys[::alpha]
+    for i, wave in enumerate(waves):
+        node = BlockNode(wave, [None] * (alpha + 1), parent, depth, 1, labels[i])
+        if i + 1 < len(labels):
+            node.children[0] = ChildRef(labels[i + 1], n - (i + 1) * alpha)
         emit(node)
         parent, depth = node.label, depth + 1
-    return keys[0] if keys else None
+    return labels[0] if n else None
 
 
-def _build_chain(keys: list[int], alpha: int, parent: int | None, depth: int, emit) -> int:
+def _build_chain(keys, alpha: int, parent: int | None, depth: int, emit) -> int:
     """Emit `keys` (ascending priority) as a fresh chain of waves; returns the head label."""
     return _waves(keys, alpha, parent, depth, emit)
 
 
-def layout_subtree(keys: list[int], params: Params, parent: int | None, depth: int, emit) -> None:
+def layout_subtree(keys, params: Params, parent: int | None, depth: int, emit) -> None:
     """Lay out the subtree over `keys` (ascending priority), emitting each block in pre-order.
 
+    `keys` is a list of ints or a uint64 array, as `_ranked` gives it.
     One explicit stack of (keys, parent, depth) tasks, the root first;
     children are pushed in reverse slot order.  A fresh build and a rebuilt
     section both go through here, so a section equals a fresh build of it.
@@ -275,7 +318,7 @@ def layout_subtree(keys: list[int], params: Params, parent: int | None, depth: i
             continue
         node, bins = _assemble(params, keys, parent, depth)
         emit(node)
-        stack.extend((sub, node.label, depth + 1) for sub in reversed(bins) if sub)
+        stack.extend((sub, node.label, depth + 1) for sub in reversed(bins) if len(sub))
 
 
 def _build_fresh(ctx: _Ctx, lo: int, hi: int, weight: int, sources, include, exclude,
@@ -293,7 +336,7 @@ def _build_fresh(ctx: _Ctx, lo: int, hi: int, weight: int, sources, include, exc
     if len(pool) != weight:
         raise CorruptionError(f"section ({lo}, {hi}): {len(pool)} keys, slot weight {weight}")
     layout_subtree(pool, ctx.params, parent, depth, ctx.stage)
-    return pool[0]
+    return int(pool[0])
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +474,7 @@ def _rewave(ctx: _Ctx, node: BlockNode, keys: list[int], walk) -> None:
     for wave in walk:
         ctx.mark_obsolete(wave.label, wave)
         tail += wave.keys
-    keys = _by_priority(ctx.prio, keys + tail)
+    keys = _ranked(ctx.prio, keys + tail)
     ctx.relabels[node.label] = _waves(keys, ctx.alpha, node.parent, node.depth, ctx.stage)
     ctx.commit_site()
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import numpy as np
@@ -11,6 +12,8 @@ from rbst.metrics import (
 )
 from rbst.oracle import oracle_build
 from rbst.priority import MASK64, ExplicitPriority, HashedPriority
+
+from conftest import CollidingPriority
 
 
 # (priority kind, rho, n) at alpha 4: no key, one key, one full block, and
@@ -54,16 +57,21 @@ def test_fast_build_deep_path_without_recursion():
     assert tree.image() == oracle_build(keys, prio, params)
 
 
-class CollidingPriority:
-    """Four-bit ranks: many keys share one, and ranks do not follow key order."""
+# sha256 of the image of each benchmark workload's starting tree at seed 101
+# (n = 1e5, eps = 0.5), recorded while set-up still binned keys by one bisect
+# each: nothing else compares a layout this large with anything but itself
+WORKLOAD_IMAGES = [
+    (4, 108, "c3f75016f8c523c409dc1de1576c62909f768387265c46d9df5095f0b1e70180"),
+    (16, 108, "a3d55e993cc460e8f416f94b03bcd296c49fa45e3bab1fa97ae1c3691e667dec"),
+    (4, 2, "a5ac609102966e4489fc9d904c9978abed17f190334fa471c58e99abf7170d99"),
+]
 
-    seed = 0
 
-    def priority(self, key: int) -> tuple[int, int]:
-        return ((key * 0x9E3779B97F4A7C15) & MASK64) >> 60, key
-
-    def ranks(self, keys: np.ndarray) -> np.ndarray:
-        return (keys * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(60)
+@pytest.mark.parametrize("alpha,c_rho,digest", WORKLOAD_IMAGES)
+def test_workload_starting_images_are_pinned(alpha, c_rho, digest):
+    keys = sample_keys(np.random.default_rng(101), 100_000)
+    tree = fast_build(keys, HashedPriority(101), Params.of(alpha, 0.5, c_rho))
+    assert hashlib.sha256(tree.image()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("alpha,rho", [(2, 4), (4, 16), (4, 864), (16, 3456)])

@@ -20,7 +20,7 @@ from rbst.update import (
     CASE_LIST_DELETE, CASE_LIST_INSERT, CASE_LIST_NEW_BLOCK, _classify,
 )
 
-from conftest import build_by_inserts
+from conftest import CollidingPriority, build_by_inserts
 
 GRID = [(a, r) for a in (1, 2, 3, 4) for r in (0, 1, 2, 4)]
 # whole-chain inputs: at rho=64 a tree of about 40 keys is one chain of
@@ -412,6 +412,60 @@ def test_by_priority_matches_per_key_sort(prio, n):
         got = upd._by_priority(prio, given)
         assert got == want
         assert all(type(k) is int for k in got)
+
+
+def _emitted(layout, keys, *args) -> list:
+    blocks: list = []
+    layout(keys, *args, blocks.append)
+    return blocks
+
+
+def _assert_same_blocks(got: list, want: list) -> None:
+    """The same pre-order, every field equal, and every label, key and weight an int."""
+    assert [b.label for b in got] == [b.label for b in want]
+    for a, b in zip(got, want):
+        assert (a.keys, a.children, a.parent, a.depth, a.fanout) == \
+            (b.keys, b.children, b.parent, b.depth, b.fanout)
+        refs = [c for c in a.children if c is not None]
+        fields = [a.label, a.depth, a.fanout, *a.keys, *(f for c in refs for f in (c.label, c.weight))]
+        assert all(type(v) is int for v in fields), a
+        assert a.parent is None or type(a.parent) is int
+
+
+@pytest.mark.parametrize("tied", [False, True], ids=["hashed", "tied"])
+@pytest.mark.parametrize("alpha,rho", [(1, 0), (2, 1), (4, 16), (16, 3456)])
+@pytest.mark.parametrize("n", [upd._ARRAY_FROM - 1, upd._ARRAY_FROM, upd._ARRAY_FROM + 1, 3000])
+def test_layout_of_a_uint64_array_equals_the_layout_of_its_list(n, alpha, rho, tied):
+    # set-up and rebuilds hand `layout_subtree` a uint64 array from
+    # `_ARRAY_FROM` keys on; it must emit what the list path emits for them
+    rng = random.Random(n * 31 + alpha)
+    inner: set[int] = set()
+    while len(inner) < n - 2:
+        inner.add(rng.randrange(1, MASK64))
+    keys = [0, MASK64, *inner]
+    prio = CollidingPriority() if tied else HashedPriority(n + rho)
+    ranked = upd._by_priority(prio, keys)
+    arr = upd._ranked(prio, keys)
+    assert isinstance(arr, np.ndarray) == (n >= upd._ARRAY_FROM)
+    arr = np.asarray(arr, dtype=np.uint64)
+    assert arr.tolist() == ranked
+    args = (Params(alpha, rho), 7, 3)
+    _assert_same_blocks(_emitted(upd.layout_subtree, arr, *args),
+                        _emitted(upd.layout_subtree, ranked, *args))
+
+
+@pytest.mark.parametrize("alpha", [1, 2, 4, 16])
+def test_waves_of_a_uint64_array_equal_the_waves_of_its_list(alpha):
+    # a chain of each length around the wave size, its remainder wave included
+    prio = HashedPriority(alpha)
+    for n in sorted({1, alpha - 1, alpha, alpha + 1, 2 * alpha + 1} - {0}):
+        ranked = upd._by_priority(prio, random.Random(n).sample(range(1 << 40), n))
+        arr = np.array(ranked, dtype=np.uint64)
+        head = upd._waves(arr, alpha, None, 0, lambda node: None)
+        assert type(head) is int and head == ranked[0]
+        want = _emitted(upd._waves, ranked, alpha, None, 0)
+        _assert_same_blocks(_emitted(upd._waves, arr, alpha, None, 0), want)
+        assert len(want) == -(-n // alpha)
 
 
 class _CountingPriority(HashedPriority):
