@@ -14,14 +14,20 @@ equality of logical states is a plain byte comparison:
     children     (alpha+1) x (u8 presence + u64 child label + u64 weight)
 
 All integers little-endian; an absent parent or child slot is all zero.
+One field list, `_HEAD` and `_SLOT`, gives both the struct that packs an
+entry and the numpy dtype that reads a whole image body at once.
 """
 
 from __future__ import annotations
 
+import gc
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache
 from operator import lt
+
+import numpy as np
 
 from .errors import FormatError, InvalidBlockError
 from .priority import MASK64
@@ -74,10 +80,45 @@ class BlockNode:
         return None
 
 
+# (name, struct code) of each entry field before the keys, and of each child slot's
+_HEAD = (("label", "Q"), ("depth", "I"), ("key_count", "H"), ("fanout", "H"),
+         ("parent_present", "B"), ("parent", "Q"))
+_SLOT = (("present", "B"), ("child", "Q"), ("weight", "Q"))
+
+
 @cache
 def record_struct(alpha: int) -> struct.Struct:
     """The image entry for one block: its u64 label, then its record."""
-    return struct.Struct("<QIHHBQ" + "Q" * alpha + "BQQ" * (alpha + 1))
+    head, slot = ("".join(code for _, code in fields) for fields in (_HEAD, _SLOT))
+    return struct.Struct("<" + head + "Q" * alpha + slot * (alpha + 1))
+
+
+@cache
+def record_dtype(alpha: int) -> np.dtype:
+    """`record_struct(alpha)` as a packed numpy record: the `_HEAD` fields, `keys`
+    of shape (alpha,) and `slots` of shape (alpha + 1,) with the `_SLOT` fields."""
+    def little(fields):
+        return [(name, "<" + code) for name, code in fields]
+    return np.dtype(little(_HEAD) + [("keys", "<Q", (alpha,)),
+                                     ("slots", little(_SLOT), (alpha + 1,))])
+
+
+@contextmanager
+def collector_paused():
+    """Run the body with the cyclic garbage collector off, then restore its state.
+
+    Building a whole tree's blocks makes a few container objects per block
+    (the node, its two lists, its `ChildRef`s), and each young generation
+    they fill sets off a collection that rescans more of the heap.  Blocks
+    hold ints, lists and `ChildRef`s only, so they form no cycle to collect.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def pack_record(node: BlockNode, alpha: int) -> bytes:

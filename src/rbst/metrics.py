@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import BlockNode
+from .blocks import BlockNode, collector_paused
 from .core import C_RHO, Params, Tree, check_invariants, range_report, search_path_profile
 from .errors import ConfigError
 from .priority import HashedPriority
@@ -149,7 +149,10 @@ def fast_build(keys: np.ndarray, prio, params: Params) -> Tree:
     is stored by its label.  The layout boxes a block's ints as it emits the
     block, so they lie next to it in memory: ints boxed in priority order
     over the whole set made successor about a third slower on the
-    chain-heavy trees (alpha 4 and 16 at c_rho 108, n = 1e5).
+    chain-heavy trees (alpha 4 and 16 at c_rho 108, n = 1e5).  It runs with
+    the cyclic collector paused (`blocks.collector_paused`), as a load's
+    block build does: the blocks can form no cycle, and the collector would
+    otherwise rescan the growing heap many times over.
     """
     keys = _distinct_sorted(np.asarray(keys, dtype=np.uint64))
     n = len(keys)
@@ -163,7 +166,8 @@ def fast_build(keys: np.ndarray, prio, params: Params) -> Tree:
         blocks[node.label] = node
 
     pool = _ranked(prio, keys)
-    layout_subtree(pool, params, None, 0, emit)
+    with collector_paused():
+        layout_subtree(pool, params, None, 0, emit)
     tree.root = int(pool[0])
     return tree
 

@@ -27,6 +27,9 @@ Image file format (all integers little-endian):
     blocks        block_count x record (blocks.record_struct), label ascending
 
 Only the UR region is serialized; auxiliary blocks never reach an image.
+A load checks the whole body in one numpy pass (`blocks.record_dtype`) and
+builds a clean image's blocks with the cyclic collector paused; only an
+image that fails a bulk check is read record by record, to name its fault.
 """
 
 from __future__ import annotations
@@ -34,7 +37,10 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
-from .blocks import BlockNode, pack_record, record_struct, unpack_record
+import numpy as np
+
+from .blocks import (BlockNode, ChildRef, collector_paused, pack_record, record_dtype,
+                     record_struct, unpack_record)
 from .errors import AccountingError, CorruptionError, FormatError, InvalidBlockError, NotFoundError
 
 MAGIC = b"RBST"
@@ -207,6 +213,13 @@ class BlockStore:
 
 
 def parse_image(data: bytes) -> tuple[BlockStore, ImageHeader]:
+    """The store and header of an image, or a FormatError naming its first fault.
+
+    One bulk pass reads the body as a numpy record array and runs every load
+    check as array tests; a clean image's blocks are then built column by
+    column with the cyclic collector paused.  Only an image that fails a
+    bulk test goes record by record (`_load_records`), to name its fault.
+    """
     if len(data) < _HEADER.size:
         raise FormatError("image shorter than header")
     magic, version, alpha, rho, seed, n, root_present, root, count = _HEADER.unpack_from(data)
@@ -226,19 +239,88 @@ def parse_image(data: bytes) -> tuple[BlockStore, ImageHeader]:
         raise FormatError(
             f"truncated image: {len(body)} body bytes for {count} blocks of {entry.size}"
         )
+    header = ImageHeader(alpha, rho, seed, n, root if root_present else None)
+    table = np.frombuffer(body, record_dtype(alpha), count)
     store = BlockStore(alpha)
+    if (_records_clean(table, alpha) and (header.root is not None or n == 0)
+            and _links_clean(table, header.root)):
+        with collector_paused():
+            _build_blocks(store.blocks, table, alpha)
+    else:
+        _load_records(store.blocks, entry, body, alpha)
+        if header.root is None and n > 0:
+            raise FormatError("missing root for a non-empty image")
+        _check_links(store.blocks, header.root)
+    return store, header
+
+
+def _records_clean(table: np.ndarray, alpha: int) -> bool:
+    """Whether every record passes `unpack_record` and the labels strictly ascend."""
+    kc, fanout, pp = table["key_count"], table["fanout"], table["parent_present"]
+    keys, slots, labels = table["keys"], table["slots"], table["label"]
+    used = np.arange(alpha) < kc[:, None]
+    present, child, weight = slots["present"], slots["child"], slots["weight"]
+    return bool(np.all((1 <= kc) & (kc <= alpha))
+                and np.all((1 <= fanout) & (fanout <= alpha + 1))
+                and np.all((pp == 1) | ((pp == 0) & (table["parent"] == 0)))
+                and np.all((keys[:, 1:] > keys[:, :-1]) | ~used[:, 1:])
+                and np.all(used | (keys == 0))
+                and np.all((present == 1) | ((present == 0) & (child == 0) & (weight == 0)))
+                and np.all(labels[1:] > labels[:-1]))
+
+
+def _links_clean(table: np.ndarray, root: int | None) -> bool:
+    """Whether `_check_links` passes, for records `_records_clean` passed: the present
+    child labels and the root are the label column, and each child's parent and depth
+    match the block whose slot names it."""
+    labels, depth, pp, parent = (table["label"], table["depth"].astype(np.int64),  # no wrap
+                                 table["parent_present"], table["parent"])
+    slots = table["slots"]
+    present = slots["present"] == 1
+    rows = np.nonzero(present)[0]                 # the linking block of each child
+    child = slots["child"][present]
+    linked = child if root is None else np.append(child, np.uint64(root))
+    if not np.array_equal(np.sort(linked), labels):
+        return False
+    at = np.searchsorted(labels, child)           # each child's own row
+    if root is not None:
+        top = np.searchsorted(labels, np.uint64(root))
+        if pp[top] != 0 or depth[top] != 0:
+            return False
+    return bool(np.all(pp[at] == 1) and np.all(parent[at] == labels[rows])
+                and np.all(depth[at] == depth[rows] + 1))
+
+
+def _build_blocks(blocks: dict[int, BlockNode], table: np.ndarray, alpha: int) -> None:
+    """The blocks of a clean record table, every field a Python int."""
+    slots = table["slots"]
+    present = slots["present"] == 1
+    rows, cols = np.nonzero(present)
+    refs = list(map(ChildRef, slots["child"][present].tolist(),
+                    slots["weight"][present].tolist()))
+    empty = [None] * (alpha + 1)
+    nodes = []
+    for label, depth, kc, fanout, pp, parent, keys in zip(
+            table["label"].tolist(), table["depth"].tolist(), table["key_count"].tolist(),
+            table["fanout"].tolist(), table["parent_present"].tolist(),
+            table["parent"].tolist(), table["keys"].tolist()):
+        del keys[kc:]
+        node = BlockNode(keys, empty[:], parent if pp else None, depth, fanout, label)
+        nodes.append(node)
+        blocks[label] = node
+    for row, col, ref in zip(rows.tolist(), cols.tolist(), refs):
+        nodes[row].children[col] = ref
+
+
+def _load_records(blocks: dict[int, BlockNode], entry, body, alpha: int) -> None:
+    """Record by record, raising the first fault `_records_clean` found."""
     prev_label = -1
     for vals in entry.iter_unpack(body):
         node = unpack_record(vals, alpha)
         if node.label <= prev_label:
             raise FormatError(f"block labels not ascending at {node.label}")
         prev_label = node.label
-        store.blocks[prev_label] = node
-    header = ImageHeader(alpha, rho, seed, n, root if root_present else None)
-    if header.root is None and n > 0:
-        raise FormatError("missing root for a non-empty image")
-    _check_links(store.blocks, header.root)
-    return store, header
+        blocks[prev_label] = node
 
 
 def _check_links(blocks: dict[int, BlockNode], root: int | None) -> None:

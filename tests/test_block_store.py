@@ -548,6 +548,14 @@ def test_image_bytes_are_pinned(n, seed, params, digest):
     assert hashlib.sha256(img).hexdigest()[:16] == digest
     store, header = parse_image(img)
     assert store.image_bytes(header) == img
+    # a load builds its fields from numpy columns: each must be a Python int, not a
+    # numpy scalar, which would wrap where an int grows
+    for label, node in store.blocks.items():
+        ints = [label, node.label, node.depth, node.fanout, *node.keys]
+        ints += [v for c in node.children if c is not None for v in (c.label, c.weight)]
+        assert all(type(v) is int for v in ints), label
+        assert node.parent is None or type(node.parent) is int, label
+        assert type(node.keys) is list and type(node.children) is list, label
 
 
 @pytest.mark.parametrize("field,offset,value", [
