@@ -28,8 +28,8 @@ Image file format (all integers little-endian):
 
 Only the UR region is serialized; auxiliary blocks never reach an image.
 A load checks the whole body in one numpy pass (`blocks.record_dtype`) and
-builds a clean image's blocks with the cyclic collector paused; only an
-image that fails a bulk check is read record by record, to name its fault.
+builds the blocks with the cyclic collector paused.  A refused record is
+named from its own row alone, and a refused link from the blocks built.
 """
 
 from __future__ import annotations
@@ -216,9 +216,9 @@ def parse_image(data: bytes) -> tuple[BlockStore, ImageHeader]:
     """The store and header of an image, or a FormatError naming its first fault.
 
     One bulk pass reads the body as a numpy record array and runs every load
-    check as array tests; a clean image's blocks are then built column by
-    column with the cyclic collector paused.  Only an image that fails a
-    bulk test goes record by record (`_load_records`), to name its fault.
+    check as array tests, then builds the blocks with the cyclic collector
+    paused.  A fault is named by `unpack_record` on the first bad row alone, or
+    by `_check_links` on the blocks built when the array link test fails.
     """
     if len(data) < _HEADER.size:
         raise FormatError("image shorter than header")
@@ -241,36 +241,41 @@ def parse_image(data: bytes) -> tuple[BlockStore, ImageHeader]:
         )
     header = ImageHeader(alpha, rho, seed, n, root if root_present else None)
     table = np.frombuffer(body, record_dtype(alpha), count)
+    bad = _first_bad_record(table, alpha)
+    if bad is not None:
+        node = unpack_record(entry.unpack_from(body, bad * entry.size), alpha)
+        raise FormatError(f"block labels not ascending at {node.label}")
+    if header.root is None and n > 0:
+        raise FormatError("missing root for a non-empty image")
     store = BlockStore(alpha)
-    if (_records_clean(table, alpha) and (header.root is not None or n == 0)
-            and _links_clean(table, header.root)):
-        with collector_paused():
-            _build_blocks(store.blocks, table, alpha)
-    else:
-        _load_records(store.blocks, entry, body, alpha)
-        if header.root is None and n > 0:
-            raise FormatError("missing root for a non-empty image")
+    with collector_paused():
+        _build_blocks(store.blocks, table, alpha)
+    if not _links_clean(table, header.root):
         _check_links(store.blocks, header.root)
     return store, header
 
 
-def _records_clean(table: np.ndarray, alpha: int) -> bool:
-    """Whether every record passes `unpack_record` and the labels strictly ascend."""
+def _first_bad_record(table: np.ndarray, alpha: int) -> int | None:
+    """The first row `unpack_record` refuses or whose label does not ascend, or None:
+    `unpack_record`'s tests in its order, and only a failed test searched for its row."""
     kc, fanout, pp = table["key_count"], table["fanout"], table["parent_present"]
     keys, slots, labels = table["keys"], table["slots"], table["label"]
     used = np.arange(alpha) < kc[:, None]
     present, child, weight = slots["present"], slots["child"], slots["weight"]
-    return bool(np.all((1 <= kc) & (kc <= alpha))
-                and np.all((1 <= fanout) & (fanout <= alpha + 1))
-                and np.all((pp == 1) | ((pp == 0) & (table["parent"] == 0)))
-                and np.all((keys[:, 1:] > keys[:, :-1]) | ~used[:, 1:])
-                and np.all(used | (keys == 0))
-                and np.all((present == 1) | ((present == 0) & (child == 0) & (weight == 0)))
-                and np.all(labels[1:] > labels[:-1]))
+    ascending = labels[1:] > labels[:-1]            # row i + 1 against row i
+    rows = [np.flatnonzero(~ok)[0] // ok[0].size + (ok is ascending) for ok in (
+        (1 <= kc) & (kc <= alpha),
+        (1 <= fanout) & (fanout <= alpha + 1),
+        (pp == 1) | ((pp == 0) & (table["parent"] == 0)),
+        (keys[:, 1:] > keys[:, :-1]) | ~used[:, 1:],
+        used | (keys == 0),
+        (present == 1) | ((present == 0) & (child == 0) & (weight == 0)),
+        ascending) if not ok.all()]
+    return int(min(rows)) if rows else None
 
 
 def _links_clean(table: np.ndarray, root: int | None) -> bool:
-    """Whether `_check_links` passes, for records `_records_clean` passed: the present
+    """Whether `_check_links` passes, for records `_first_bad_record` passed: the present
     child labels and the root are the label column, and each child's parent and depth
     match the block whose slot names it."""
     labels, depth, pp, parent = (table["label"], table["depth"].astype(np.int64),  # no wrap
@@ -310,17 +315,6 @@ def _build_blocks(blocks: dict[int, BlockNode], table: np.ndarray, alpha: int) -
         blocks[label] = node
     for row, col, ref in zip(rows.tolist(), cols.tolist(), refs):
         nodes[row].children[col] = ref
-
-
-def _load_records(blocks: dict[int, BlockNode], entry, body, alpha: int) -> None:
-    """Record by record, raising the first fault `_records_clean` found."""
-    prev_label = -1
-    for vals in entry.iter_unpack(body):
-        node = unpack_record(vals, alpha)
-        if node.label <= prev_label:
-            raise FormatError(f"block labels not ascending at {node.label}")
-        prev_label = node.label
-        blocks[prev_label] = node
 
 
 def _check_links(blocks: dict[int, BlockNode], root: int | None) -> None:

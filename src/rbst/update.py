@@ -34,7 +34,9 @@ including the re-read before an in-place rewrite.
 
 Main-memory discipline: scans keep an explicit stack of pending child
 labels and pin one block at a time, reading each block once.  A rebuild
-reads each old block of its section once and holds the section's S keys
+reads each old block of its section once, per section and not per update
+(`_count_pass` scans an old section that straddles a new boundary, and
+each new section it overlaps scans it again), and holds the section's S keys
 in memory while it lays the section out: from `_ARRAY_FROM` keys on they
 are one uint64 array, O(S) u64 words, and a block's keys become ints only
 as it is emitted.  A chain pass reads its waves in one `read_chain` walk,

@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+import rbst.store
 from rbst import BlockStore, Params, Tree, insert
 from rbst.blocks import (BlockNode, ChildRef, collector_paused, pack_record, record_dtype,
                          record_struct, unpack_record)
@@ -139,6 +140,70 @@ def test_bulk_load_of_an_empty_and_a_one_block_image():
     assert _bulk(bytes(raw)) == _one_by_one(bytes(raw)) == "missing root for a non-empty image"
 
 
+def _bump_last_depth(img: bytes, alpha: int) -> bytes:
+    """`img` with its last record's depth one higher: a link fault, not a record fault."""
+    raw, at = bytearray(img), len(img) - record_struct(alpha).size + 8
+    struct.pack_into("<I", raw, at, struct.unpack_from("<I", raw, at)[0] + 1)
+    return bytes(raw)
+
+
+def test_naming_a_fault_decodes_one_record(monkeypatch):
+    calls = dict.fromkeys(("unpack_record", "_check_links"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(rbst.store, name)):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(rbst.store, name, counted)
+    tree = fast_build(sample_keys(np.random.default_rng(3), 2000), HashedPriority(3),
+                      Params.of(4, 0.5, 2))
+    img = tree.image()
+    assert _bulk(img) == img
+    assert calls == {"unpack_record": 0, "_check_links": 0}
+    raw = bytearray(img)
+    raw[len(img) - record_struct(4).size + 12] = 0      # the last block's key_count
+    assert _bulk(bytes(raw)) == _one_by_one(bytes(raw)) == (
+        f"block {max(tree.store.blocks)}: key_count 0 outside 1..4")
+    assert calls == {"unpack_record": 1, "_check_links": 0}
+    calls.update(unpack_record=0)
+    deeper = _bump_last_depth(img, 4)
+    want = _one_by_one(deeper)
+    assert "depth" in want and _bulk(deeper) == want
+    assert calls == {"unpack_record": 0, "_check_links": 1}
+
+
+def _edit(raw: bytearray, row: int, fields: dict[int, int]) -> int:
+    """Rewrite entry fields (by index in `record_struct(3)`) of one row; its label."""
+    entry = record_struct(3)
+    at = _HEADER.size + row * entry.size
+    vals = list(entry.unpack_from(raw, at))
+    for field, x in fields.items():
+        vals[field] = x
+    entry.pack_into(raw, at, *vals)
+    return vals[0]
+
+
+@pytest.mark.parametrize("order_row,slot_row", [(1, 3), (3, 1), (2, 2)])
+def test_the_first_bad_row_is_named_whichever_test_finds_it(order_row, slot_row):
+    tree = _tree(3)
+    img, labels = tree.image(), sorted(tree.store.blocks)
+    kc, presence = 2, 6 + 3        # key_count, and slot 0's presence byte, at alpha 3
+    # two faults in one record: the key_count test comes first
+    raw = bytearray(img)
+    _edit(raw, order_row, {kc: 0, presence: 2})
+    assert _bulk(bytes(raw)) == _one_by_one(bytes(raw)) == (
+        f"block {labels[order_row]}: key_count 0 outside 1..3")
+    # a label equal to the one before it in one row, a presence byte 2 in another
+    raw = bytearray(img)
+    _edit(raw, order_row, {0: labels[order_row - 1]})
+    label = _edit(raw, slot_row, {presence: 2})
+    want = _one_by_one(bytes(raw))
+    assert _bulk(bytes(raw)) == want
+    if order_row < slot_row:
+        assert want == f"block labels not ascending at {labels[order_row - 1]}"
+    else:
+        assert want.startswith(f"block {label}: child slot (presence, label, weight) (2, ")
+
+
 @pytest.mark.parametrize("enabled", [True, False])
 def test_loads_and_builds_leave_the_collector_as_they_found_it(enabled):
     keys = sample_keys(np.random.default_rng(3), 2000)
@@ -154,6 +219,10 @@ def test_loads_and_builds_leave_the_collector_as_they_found_it(enabled):
         raw[_HEADER.size + 12] = 0    # the first block's key_count
         with pytest.raises(FormatError, match="key_count 0"):
             parse_image(bytes(raw))
+        assert gc.isenabled() is enabled
+        # a link fault: its blocks are built under the pause, then `_check_links` raises
+        with pytest.raises(FormatError, match="depth"):
+            parse_image(_bump_last_depth(img, 4))
         assert gc.isenabled() is enabled
         with pytest.raises(ZeroDivisionError), collector_paused():
             1 / 0
