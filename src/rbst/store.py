@@ -28,8 +28,8 @@ Image file format (all integers little-endian):
 
 Only the UR region is serialized; auxiliary blocks never reach an image.
 A load checks the whole body in one numpy pass (`blocks.record_dtype`) and
-builds the blocks with the cyclic collector paused.  A refused record is
-named from its own row alone, and a refused link from the blocks built.
+names a refused record from its own row, a refused link from the record table.
+Only a clean image's blocks are built, with the cyclic collector paused.
 """
 
 from __future__ import annotations
@@ -216,9 +216,9 @@ def parse_image(data: bytes) -> tuple[BlockStore, ImageHeader]:
     """The store and header of an image, or a FormatError naming its first fault.
 
     One bulk pass reads the body as a numpy record array and runs every load
-    check as array tests, then builds the blocks with the cyclic collector
-    paused.  A fault is named by `unpack_record` on the first bad row alone, or
-    by `_check_links` on the blocks built when the array link test fails.
+    check as array tests: a fault is named by `unpack_record` on the first bad
+    row alone, or by `_first_bad_link` from the table.  Only then are the blocks
+    built, with the cyclic collector paused, so a refused image builds none.
     """
     if len(data) < _HEADER.size:
         raise FormatError("image shorter than header")
@@ -247,11 +247,11 @@ def parse_image(data: bytes) -> tuple[BlockStore, ImageHeader]:
         raise FormatError(f"block labels not ascending at {node.label}")
     if header.root is None and n > 0:
         raise FormatError("missing root for a non-empty image")
+    if fault := _first_bad_link(table, header.root):
+        raise FormatError(fault)
     store = BlockStore(alpha)
     with collector_paused():
         _build_blocks(store.blocks, table, alpha)
-    if not _links_clean(table, header.root):
-        _check_links(store.blocks, header.root)
     return store, header
 
 
@@ -274,26 +274,48 @@ def _first_bad_record(table: np.ndarray, alpha: int) -> int | None:
     return int(min(rows)) if rows else None
 
 
-def _links_clean(table: np.ndarray, root: int | None) -> bool:
-    """Whether `_check_links` passes, for records `_first_bad_record` passed: the present
-    child labels and the root are the label column, and each child's parent and depth
-    match the block whose slot names it."""
+def _first_bad_link(table: np.ndarray, root: int | None) -> str | None:
+    """The first link fault of rows `_first_bad_record` passed, or None: a label linked again
+    (the header's root, then slots in file order), the first block by label linked by none
+    or with a wrong parent or depth, then a link that names no block."""
+    if not len(table):
+        return None if root is None else f"dangling label {root}, linked from the header"
     labels, depth, pp, parent = (table["label"], table["depth"].astype(np.int64),  # no wrap
                                  table["parent_present"], table["parent"])
-    slots = table["slots"]
-    present = slots["present"] == 1
-    rows = np.nonzero(present)[0]                 # the linking block of each child
-    child = slots["child"][present]
-    linked = child if root is None else np.append(child, np.uint64(root))
-    if not np.array_equal(np.sort(linked), labels):
-        return False
-    at = np.searchsorted(labels, child)           # each child's own row
+    present = table["slots"]["present"] == 1
+    by = np.nonzero(present)[0]                   # the linking row of each link
+    linked = table["slots"]["child"][present]
     if root is not None:
-        top = np.searchsorted(labels, np.uint64(root))
-        if pp[top] != 0 or depth[top] != 0:
-            return False
-    return bool(np.all(pp[at] == 1) and np.all(parent[at] == labels[rows])
-                and np.all(depth[at] == depth[rows] + 1))
+        by, linked = np.append(-1, by), np.append(np.uint64(root), linked)
+    order = np.argsort(linked, kind="stable")
+    ranked, at = linked[order], np.arange(len(labels))    # the row each ranked link names
+    if not np.array_equal(ranked, labels):
+        if i := min(order[1:][ranked[1:] == ranked[:-1]], default=0):   # 0 is no repeat
+            return f"block {linked[i]}: linked again, from block {labels[by[i]]}"
+        at = np.minimum(np.searchsorted(labels, ranked), len(labels) - 1)
+    named = labels[at] == ranked
+    up = np.full(len(labels), -2)                 # each row's linker: -1 the header, -2 none
+    up[at[named]] = by[order[named]]
+    above = up.clip(0)                            # the linker's row, or row 0 unread
+    want = np.where(up >= 0, depth[above] + 1, 0)
+    if not np.array_equal(depth[up > -2], want[up > -2]):   # a depth off: distances
+        hop, dist = np.where(up >= 0, up, np.arange(len(up))), (up >= 0).astype(np.int64)
+        for _ in range(len(up).bit_length()):     # pointer doubling up the links
+            dist, hop = dist + dist[hop], hop[hop]
+        want = np.where(up[hop] == -1, dist, want)  # off the root's tree: linker's + 1
+    bad = np.flatnonzero((up == -2) | (depth != want) | np.where(
+        up >= 0, (pp != 1) | (parent != labels[above]), pp != 0))
+    if bad.size:
+        r = bad[0]
+        if up[r] == -2:
+            return f"block {labels[r]}: linked from no block"
+        return (f"block {labels[r]}: parent {parent[r] if pp[r] else None}, depth {depth[r]}, "
+                f"want parent {labels[up[r]] if up[r] >= 0 else None}, depth {want[r]}")
+    if not named.all():
+        i = order[~named].min()
+        where = "the header" if by[i] < 0 else f"block {labels[by[i]]}"
+        return f"dangling label {linked[i]}, linked from {where}"
+    return None
 
 
 def _build_blocks(blocks: dict[int, BlockNode], table: np.ndarray, alpha: int) -> None:
@@ -316,25 +338,3 @@ def _build_blocks(blocks: dict[int, BlockNode], table: np.ndarray, alpha: int) -
     for row, col, ref in zip(rows.tolist(), cols.tolist(), refs):
         nodes[row].children[col] = ref
 
-
-def _check_links(blocks: dict[int, BlockNode], root: int | None) -> None:
-    """One tree or a FormatError: the header links the root at depth 0, and every other
-    block is linked once, by the block its parent field names, one level below (no cycle)."""
-    linker = {} if root is None else {root: None}   # label -> label of the block linking it
-    for label, node in blocks.items():
-        for ref in node.children:
-            if ref is not None:
-                if ref.label in linker:
-                    raise FormatError(f"block {ref.label}: linked again, from block {label}")
-                linker[ref.label] = label
-    for label, node in blocks.items():
-        if label not in linker:
-            raise FormatError(f"block {label}: linked from no block")
-        parent = linker.pop(label)
-        depth = 0 if parent is None else blocks[parent].depth + 1
-        if node.parent != parent or node.depth != depth:
-            raise FormatError(f"block {label}: parent {node.parent}, depth {node.depth}, "
-                              f"want parent {parent}, depth {depth}")
-    for label, parent in linker.items():
-        where = "the header" if parent is None else f"block {parent}"
-        raise FormatError(f"dangling label {label}, linked from {where}")

@@ -6,8 +6,8 @@ delete it if present) must leave the image of a fresh `oracle_build` of the
 new set, and the refused opposite must change nothing.  The same loop gives
 exact expectations under a uniform priority order: mean reads, writes,
 staged and freed blocks per (alpha, rho, op, set size), frozen below so an
-I/O change shows as an exact diff of the table.  Query reads are enumerated
-the same way where a closed form is known: on the treap.
+I/O change shows as an exact diff of the table.  Query reads and update I/O
+are enumerated the same way where a closed form is known: on the treap.
 """
 
 from fractions import Fraction
@@ -280,3 +280,46 @@ def test_treap_range_report_reads_are_harmonic(u):
     got = {pair: Fraction(r, len(orders)) for pair, r in reads.items()}
     assert all(got[i, j] == got[u + 1 - j, u + 1 - i] for i, j in pairs)
     assert got == {(i, j): (j - i + 1) + _harmonic(i - 1) + _harmonic(u - j) for i, j in pairs}
+
+
+# E[reads] of an update at (alpha, rho) = (1, 0), per rank k = 1..U of the key: an
+# insert into the other U - 1 keys, a delete from all U.  No closed form yet: a partial
+# rebuild reads some old blocks twice
+TREAP_UPDATE_READS = {
+    5: {"insert": "74/15 793/120 427/60 793/120 74/15",
+        "delete": "91/12 253/30 131/15 253/30 91/12"},
+    6: {"insert": "169/30 297/40 2953/360 2953/360 297/40 169/30",
+        "delete": "124/15 1663/180 97/10 97/10 1663/180 124/15"},
+    7: {"insert": "218/35 6793/840 22759/2520 5861/630 22759/2520 6793/840 218/35",
+        "delete": "929/105 3121/315 13201/1260 319/30 13201/1260 3121/315 929/105"},
+}
+
+
+@pytest.mark.parametrize("u", [5, 6, pytest.param(7, marks=pytest.mark.slow)])
+def test_treap_update_io_is_harmonic(u):
+    # on the treap an update rebuilds the subtree of the key of rank k and rewrites one
+    # slot per proper ancestor; with H = H_k + H_{U+1-k} that subtree holds H - 1 keys on
+    # average and the key has H - 2 proper ancestors (Seidel and Aragon).  An insert
+    # stages the subtree with the key (H - 1 blocks) and frees it without (H - 2), a
+    # delete the reverse; writes are 2 staged + rewritten, a commit counting each
+    # promoted block as a second write
+    universe = [10 * k for k in range(1, u + 1)]
+    orders = list(permutations(universe))
+    sums = {op: [[0] * 5 for _ in universe] for op in ("insert", "delete")}
+    for order in orders:
+        prio = ExplicitPriority.from_order(order)
+        for k, key in enumerate(universe):
+            for op, update, keys in (("insert", insert, universe[:k] + universe[k + 1:]),
+                                     ("delete", delete, universe)):
+                r = update(oracle_tree(keys, prio, Params(1, 0)), key)
+                for i, v in enumerate((r.staged, r.freed, r.rewritten, r.writes, r.reads)):
+                    sums[op][k][i] += v
+    for op, rows in sums.items():
+        got = [tuple(Fraction(v, len(orders)) for v in row) for row in rows]
+        assert got == got[::-1], op
+        h = [_harmonic(k) + _harmonic(u + 1 - k) for k in range(1, u + 1)]
+        if op == "insert":
+            assert [row[:4] for row in got] == [(x - 1, x - 2, x - 2, 3 * x - 4) for x in h]
+        else:
+            assert [row[:4] for row in got] == [(x - 2, x - 1, x - 2, 3 * x - 6) for x in h]
+        assert [row[4] for row in got] == list(map(Fraction, TREAP_UPDATE_READS[u][op].split()))

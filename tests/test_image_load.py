@@ -13,17 +13,47 @@ from rbst.blocks import (BlockNode, ChildRef, collector_paused, pack_record, rec
 from rbst.errors import FormatError
 from rbst.metrics import fast_build, sample_keys
 from rbst.priority import HashedPriority
-from rbst.store import _HEADER, ImageHeader, _check_links, parse_image
+from rbst.store import _HEADER, ImageHeader, parse_image
 
 # byte offsets of the header fields the mutations below rewrite
 _N_AT, _PRESENT_AT, _ROOT_AT = (struct.calcsize(f) for f in ("<4sHHIQ", "<4sHHIQQ",
                                                              "<4sHHIQQB"))
 
 
+def _check_links(blocks: dict[int, BlockNode], root: int | None) -> None:
+    """One tree or a FormatError: the header links the root at depth 0, and every other
+    block is linked once, by the block its parent field names, at its distance from the
+    root (one below its linker's off the root's tree, as on a cycle)."""
+    linker = {} if root is None else {root: None}   # label -> label of the block linking it
+    for label, node in blocks.items():
+        for ref in node.children:
+            if ref is not None:
+                if ref.label in linker:
+                    raise FormatError(f"block {ref.label}: linked again, from block {label}")
+                linker[ref.label] = label
+    dist, todo = {}, [(root, 0)] if root in blocks else []
+    while todo:                                     # each label is linked once: no cycle
+        label, d = todo.pop()
+        dist[label] = d
+        todo += [(ref.label, d + 1) for ref in blocks[label].children
+                 if ref is not None and ref.label in blocks]
+    for label, node in blocks.items():
+        if label not in linker:
+            raise FormatError(f"block {label}: linked from no block")
+        parent = linker.pop(label)
+        depth = dist[label] if label in dist else blocks[parent].depth + 1
+        if node.parent != parent or node.depth != depth:
+            raise FormatError(f"block {label}: parent {node.parent}, depth {node.depth}, "
+                              f"want parent {parent}, depth {depth}")
+    for label, parent in linker.items():
+        where = "the header" if parent is None else f"block {parent}"
+        raise FormatError(f"dangling label {label}, linked from {where}")
+
+
 def _one_by_one(img: bytes):
     """The record-by-record load: the header's root fields, every entry through
-    `unpack_record` in label order, the root, then `_check_links`.  Gives the tree's
-    re-packed bytes, or the FormatError's text."""
+    `unpack_record` in label order, the root, then the link walk `_check_links`.  Gives
+    the tree's re-packed bytes, or the FormatError's text."""
     _, _, alpha, rho, seed, n, present, root, _ = _HEADER.unpack_from(img)
     try:
         if present not in (0, 1):
@@ -138,6 +168,10 @@ def test_bulk_load_of_an_empty_and_a_one_block_image():
     raw = bytearray(empty)
     struct.pack_into("<Q", raw, _N_AT, 1)
     assert _bulk(bytes(raw)) == _one_by_one(bytes(raw)) == "missing root for a non-empty image"
+    # a root with no block to name
+    raw[_PRESENT_AT] = 1
+    struct.pack_into("<Q", raw, _ROOT_AT, 5)
+    assert _bulk(bytes(raw)) == _one_by_one(bytes(raw)) == "dangling label 5, linked from the header"
 
 
 def _bump_last_depth(img: bytes, alpha: int) -> bytes:
@@ -148,7 +182,7 @@ def _bump_last_depth(img: bytes, alpha: int) -> bytes:
 
 
 def test_naming_a_fault_decodes_one_record(monkeypatch):
-    calls = dict.fromkeys(("unpack_record", "_check_links"), 0)
+    calls = dict.fromkeys(("unpack_record", "_build_blocks"), 0)
     for name in calls:
         def counted(*args, _name=name, _real=getattr(rbst.store, name)):
             calls[_name] += 1
@@ -158,17 +192,18 @@ def test_naming_a_fault_decodes_one_record(monkeypatch):
                       Params.of(4, 0.5, 2))
     img = tree.image()
     assert _bulk(img) == img
-    assert calls == {"unpack_record": 0, "_check_links": 0}
+    assert calls == {"unpack_record": 0, "_build_blocks": 1}
+    calls.update(_build_blocks=0)
     raw = bytearray(img)
     raw[len(img) - record_struct(4).size + 12] = 0      # the last block's key_count
     assert _bulk(bytes(raw)) == _one_by_one(bytes(raw)) == (
         f"block {max(tree.store.blocks)}: key_count 0 outside 1..4")
-    assert calls == {"unpack_record": 1, "_check_links": 0}
+    assert calls == {"unpack_record": 1, "_build_blocks": 0}
     calls.update(unpack_record=0)
     deeper = _bump_last_depth(img, 4)
     want = _one_by_one(deeper)
     assert "depth" in want and _bulk(deeper) == want
-    assert calls == {"unpack_record": 0, "_check_links": 1}
+    assert calls == {"unpack_record": 0, "_build_blocks": 0}
 
 
 def _edit(raw: bytearray, row: int, fields: dict[int, int]) -> int:
@@ -204,6 +239,34 @@ def test_the_first_bad_row_is_named_whichever_test_finds_it(order_row, slot_row)
         assert want.startswith(f"block {label}: child slot (presence, label, weight) (2, ")
 
 
+def test_a_wrong_depth_names_its_own_block():
+    # a block with a child that sorts before it: in label order the child comes first,
+    # and its depth is right, so the depth wanted is the distance from the root
+    tree = _tree(3)
+    blocks, labels = tree.store.blocks, sorted(tree.store.blocks)
+    label, child = next((label, ref.label) for label in labels if label != tree.root
+                        for ref in blocks[label].children if ref and ref.label < label)
+    node, row = blocks[label], labels.index(label)
+    for depth in (node.depth + 1, node.depth - 2):
+        raw = bytearray(tree.image())
+        _edit(raw, row, {1: depth})
+        assert _bulk(bytes(raw)) == _one_by_one(bytes(raw)) == (
+            f"block {label}: parent {node.parent}, depth {depth}, "
+            f"want parent {node.parent}, depth {node.depth}")
+    # a two-block cycle the root does not reach: the block and its child link each
+    # other, and the grandparent's slot is emptied; off the root's tree a depth is
+    # one below its linker's
+    raw = bytearray(tree.image())
+    slot = 9 + 3 * [ref and ref.label for ref in blocks[node.parent].children].index(label)
+    _edit(raw, labels.index(node.parent), {slot: 0, slot + 1: 0, slot + 2: 0})
+    slot = 9 + 3 * blocks[child].children.index(None)
+    _edit(raw, labels.index(child), {slot: 1, slot + 1: label, slot + 2: 1})
+    _edit(raw, row, {5: child})
+    assert _bulk(bytes(raw)) == _one_by_one(bytes(raw)) == (
+        f"block {label}: parent {child}, depth {node.depth}, "
+        f"want parent {child}, depth {blocks[child].depth + 1}")
+
+
 @pytest.mark.parametrize("enabled", [True, False])
 def test_loads_and_builds_leave_the_collector_as_they_found_it(enabled):
     keys = sample_keys(np.random.default_rng(3), 2000)
@@ -220,7 +283,7 @@ def test_loads_and_builds_leave_the_collector_as_they_found_it(enabled):
         with pytest.raises(FormatError, match="key_count 0"):
             parse_image(bytes(raw))
         assert gc.isenabled() is enabled
-        # a link fault: its blocks are built under the pause, then `_check_links` raises
+        # a link fault: refused before any block is built
         with pytest.raises(FormatError, match="depth"):
             parse_image(_bump_last_depth(img, 4))
         assert gc.isenabled() is enabled
