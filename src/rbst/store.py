@@ -3,15 +3,14 @@
 Two regions share one store, and both are addressed by block label: the
 uniquely-represented (UR) region, and an auxiliary region that stages a
 rebuild's blocks write-only until an atomic commit promotes all of them.
-Promoting the whole staged region is promoting one rebuild site's blocks,
-because every update commits what it stages at that site before it stages
-anything at another.  Every block access goes through read/write calls
-that bump the counters; reads pin the block until the caller releases it,
-so peak_pinned measures how many blocks an algorithm really holds in main
-memory at once.  Every query walk and every update's chain pass reads
-through read_chain, which goes down slot 0 and stops after the first block
-whose fan-out is above one: one counted read per block, one pin held at a
-time, without a release call.
+The staged region holds one update's blocks, staged once its descent has
+ended and committed at once.  Every block access goes through read/write
+calls that bump the counters; reads pin the block until the caller
+releases it, so peak_pinned measures how many blocks an algorithm really
+holds in main memory at once.  Every query walk and every update's chain
+pass reads through read_chain, which goes down slot 0 and stops after the
+first block whose fan-out is above one: one counted read per block, one
+pin held at a time, without a release call.
 
 Image file format (all integers little-endian):
 
@@ -169,7 +168,7 @@ class BlockStore:
         self._stats.writes += 1
 
     def commit_rebuild(self, obsolete) -> None:
-        """Atomically free the obsolete UR blocks and promote every staged block."""
+        """Atomically free the obsolete UR blocks and promote every staged block: one update's."""
         obsolete = set(obsolete)
         blocks, aux = self.blocks, self.aux
         for label in obsolete:

@@ -9,28 +9,30 @@ section is read once: `_top_pass` scans each old subtree that overlaps it,
 adds the keys pushed down into it, and ranks the pool in one call.  Its
 subtree is then laid out in memory by `layout_subtree`, on one explicit
 stack, root first, in pre-order, binning a large pool in numpy and a small
-one by bisect, and staged into auxiliary storage; the staged blocks are
-promoted to the UR region in one atomic commit.
+one by bisect, and kept in memory as it is emitted.
 `metrics.fast_build` lays out a whole tree with the same routine, so a
 rebuilt section is a fresh build of its keys by construction.  Chains
 (fan-out one) are cut into priority waves by one emitter, `_waves`, whether
 a layout reaches a chain or an update re-waves an old one.
 
-Ancestor blocks on the search path keep their layout but carry a child
-weight that changed by one; those are in-place field rewrites of the
-recorded child slot, applied bottom-up after all commits, and reported
-separately in the receipt.
+An update commits once, after its descent: every block it kept is staged
+into the store's auxiliary region, and one atomic commit frees the obsolete
+blocks and promotes the staged ones.  Ancestor blocks on the search path
+keep their layout but carry a child weight that changed by one; those are
+in-place field rewrites of the recorded child slot, applied bottom-up after
+the commit, and reported separately in the receipt.
 
 Insert and delete share one case decision per block on the search path
 (`_classify`) and one branch where the descent runs out of blocks: the tree
 is empty, or the key's slot below a passed block is.  There an insert
 stages the one-key leaf and a delete is refused.  A key outside u64 is
 refused before any read; every other refusal is settled by the descent
-before any commit: a duplicate at the path block or wave holding it, a
-missing key where the descent or the list pass runs out.  Only the first
-fan-out anchor, which commits and then descends, is preceded by one
-`successor` search.  Every block an update touches is a counted read,
-including the re-read before an in-place rewrite.
+before any store write: a duplicate at the path block or wave holding it, a
+missing key where the descent or the list pass runs out, and either one in
+the scan that gathers the section the key lands in, when a fan-out anchor
+rebuilds it.  A fan-out anchor keeps its label, so only an anchor that ends
+the descent re-parents the children it reuses.  Every block an update
+touches is a counted read, including the re-read before an in-place rewrite.
 
 Main-memory discipline: scans keep an explicit stack of pending child
 labels and pin one block at a time, reading each block once.  A rebuild
@@ -54,9 +56,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blocks import BlockNode, ChildRef
-from .core import (
-    NEG_INF, POS_INF, Params, Tree, active_separators, fanout_bound, scan_keys, successor,
-)
+from .core import NEG_INF, POS_INF, Params, Tree, active_separators, fanout_bound, scan_keys
+from .core import successor  # noqa: F401  (perfbench/tracing.py traces rbst.update.successor)
 from .errors import ConfigError, CorruptionError, DuplicateKeyError, MissingKeyError
 from .priority import MASK64
 
@@ -95,7 +96,7 @@ class UpdateReceipt:
     staged: int         # freshly written blocks
     freed: int          # blocks removed
     rewritten: int      # in-place field rewrites (ancestor weights, parent fixes)
-    reads: int          # every block read, rewrite re-reads and membership pre-check included
+    reads: int          # every block the update read, rewrite re-reads included
     writes: int
     d_prime: int        # height of the rebuilt region, in levels
     cases: list[str]
@@ -105,20 +106,23 @@ class UpdateReceipt:
 
 
 class _Ctx:
-    """Per-update bookkeeping: staged/freed/rewritten labels and path fixes."""
+    """Per-update bookkeeping: the blocks it stages and frees, its rewrites and path fixes.
+
+    Nothing is staged in the store before `commit`, so an update refused
+    during its descent leaves the store as it found it.
+    """
 
     def __init__(self, tree: Tree):
         self.store = tree.store
         self.prio = tree.prio
         self.params = tree.params
         self.alpha = tree.params.alpha
-        self.staged: dict[int, int] = {}      # label -> depth
-        self.freed: dict[int, int] = {}
+        self.staged: list[BlockNode] = []
+        self.freed: dict[int, int] = {}       # label -> depth of each obsolete block
         self.rewritten: set[int] = set()
         self.relabels: dict[int, int] = {}
         self.path: list[tuple[int, int]] = []     # (label, child slot) passed
         self.cases: list[str] = []
-        self._site_obsolete: dict[int, int] = {}
 
     def read(self, label: int) -> BlockNode:
         """One counted read, released at once; only a chain pass's walk keeps its pin."""
@@ -129,18 +133,21 @@ class _Ctx:
     # -- staging ------------------------------------------------------
 
     def stage(self, node: BlockNode) -> None:
-        self.store.write_aux(node)
-        self.staged[node.label] = node.depth
+        """Keep `node` for the update's commit."""
+        self.staged.append(node)
 
     def mark_obsolete(self, label: int, node: BlockNode) -> None:
-        """Free `node` at the site's commit; fits `scan_keys`' on_block."""
-        self._site_obsolete[label] = node.depth
+        """Free `node` at the update's commit; fits `scan_keys`' on_block."""
+        self.freed[label] = node.depth
 
-    def commit_site(self) -> None:
-        """Free the site's obsolete blocks and promote all it staged: the store's whole aux."""
-        self.store.commit_rebuild(self._site_obsolete)
-        self.freed.update(self._site_obsolete)
-        self._site_obsolete = {}
+    def commit(self) -> None:
+        """Stage every kept block, then free the obsolete ones and promote them all at once."""
+        try:
+            for node in self.staged:
+                self.store.write_aux(node)
+            self.store.commit_rebuild(self.freed)
+        finally:
+            self.store.aux.clear()     # a refused commit leaves nothing for the next
 
     def rewrite(self, node: BlockNode) -> None:
         self.store.rewrite(node)
@@ -150,10 +157,11 @@ class _Ctx:
 
     def receipt(self, op: str, key: int, before) -> UpdateReceipt:
         after = self.store.stats()
+        staged = {node.label: node.depth for node in self.staged}
         # every update that returns stages or frees at least one block
-        changed_depths = [*self.staged.values(), *self.freed.values()]
+        changed_depths = [*staged.values(), *self.freed.values()]
         old_side = set(self.freed) | self.rewritten
-        new_side = set(self.staged) | self.rewritten
+        new_side = set(staged) | self.rewritten
         return UpdateReceipt(
             op=op,
             key=key,
@@ -166,7 +174,7 @@ class _Ctx:
             writes=after.writes - before.writes,
             d_prime=max(changed_depths) - min(changed_depths) + 1,
             cases=self.cases,
-            staged_labels=frozenset(self.staged),
+            staged_labels=frozenset(staged),
             freed_labels=frozenset(self.freed),
             rewritten_labels=frozenset(self.rewritten),
         )
@@ -182,14 +190,21 @@ def _top_pass(ctx: _Ctx, sources, lo: int, hi: int, include, exclude):
 
     Stored keys come from one scan per source subtree, less `exclude`; each
     visited block is read once and marked obsolete.  The `include` keys in
-    (lo, hi) (pushed down into the section, held by no old block) join them.
+    (lo, hi) (pushed down into the section, or an insert's key) join them.
+    The scan settles the membership of the keys it moves: an included key it
+    finds is already present, an excluded key in (lo, hi) it misses is not.
     """
     pool: list[int] = []
     for src in sources:
         scan_keys(ctx.store, ctx.prio, src, lo, hi, out=pool, on_block=ctx.mark_obsolete)
-    excl = set(exclude)
-    pool = [key for key in pool if key not in excl] + [key for key in include if lo < key < hi]
-    return _ranked(ctx.prio, pool)
+    stored = set(pool)
+    include = [key for key in include if lo < key < hi]
+    excl = {key for key in exclude if lo < key < hi}
+    if dup := stored.intersection(include):
+        raise DuplicateKeyError(f"key {min(dup)} already present")
+    if gone := excl.difference(stored):
+        raise MissingKeyError(f"key {min(gone)} not present")
+    return _ranked(ctx.prio, [key for key in pool if key not in excl] + include)
 
 
 def _count_pass(ctx: _Ctx, source: int, lo: int, hi: int, exclude=()) -> int:
@@ -409,7 +424,6 @@ def _run_anchor(ctx: _Ctx, node: BlockNode, lo: int, hi: int, n_new: int,
     if not new_arr:
         ctx.relabels[node.label] = None
         ctx.mark_obsolete(node.label, node)
-        ctx.commit_site()
         return None
     d_new = fanout_bound(n_new, ctx.params)
     label_new = new_arr[0]
@@ -438,7 +452,6 @@ def _run_anchor(ctx: _Ctx, node: BlockNode, lo: int, hi: int, n_new: int,
     anchor = BlockNode(sorted(new_arr), children, node.parent, node.depth, d_new, label_new)
     ctx.mark_obsolete(node.label, node)
     ctx.stage(anchor)
-    ctx.commit_site()
     if label_new != node.label:
         ctx.relabels[node.label] = label_new
         for j, sec in enumerate(sections):
@@ -478,7 +491,6 @@ def _rewave(ctx: _Ctx, node: BlockNode, keys: list[int], walk) -> None:
         tail += wave.keys
     keys = _ranked(ctx.prio, keys + tail)
     ctx.relabels[node.label] = _waves(keys, ctx.alpha, node.parent, node.depth, ctx.stage)
-    ctx.commit_site()
 
 
 def _list_insert(ctx: _Ctx, node: BlockNode, key: int) -> None:
@@ -518,15 +530,6 @@ def _list_delete(ctx: _Ctx, node: BlockNode, key: int) -> None:
 # ---------------------------------------------------------------------------
 # drivers
 # ---------------------------------------------------------------------------
-
-
-def _check_membership(tree: Tree, key: int, op: str) -> None:
-    """Refuse a present insert key or a missing delete key with one counted search."""
-    present = successor(tree, key) == key
-    if op == "insert" and present:
-        raise DuplicateKeyError(f"key {key} already present")
-    if op == "delete" and not present:
-        raise MissingKeyError(f"key {key} not present")
 
 
 def _classify(tree: Tree, node: BlockNode, n_sub: int, key: int, pi_x, op: str):
@@ -597,62 +600,52 @@ def _apply_path_fixes(ctx: _Ctx, key: int, delta: int) -> None:
 def _update(tree: Tree, key: int, op: str) -> UpdateReceipt:
     """Greedy top-down descent that rebuilds at the blocks `_classify` picks.
 
-    An update that raises discards what it staged and did not commit, so no
-    later commit promotes it; only a corrupt tree raises after a stage.
+    The descent settles every refusal; the update then commits once and
+    rewrites the child slots of the blocks it passed.
     """
     if not 0 <= key <= MASK64:
         raise ConfigError(f"key {key} outside the u64 universe")
-    try:
-        before = tree.store.stats()
-        ctx = _Ctx(tree)
-        delta = 1 if op == "insert" else -1
-        pi_x = tree.prio.priority(key) if op == "insert" else None
-        cur, n_sub, lo, hi = tree.root, tree.n, NEG_INF, POS_INF
-        while True:
-            if cur is None:
-                # the tree is empty, or the key's slot below the last block passed is
-                if op == "delete":
-                    raise MissingKeyError(f"key {key} not present")
-                parent, depth = (None, 0) if tree.root is None else (node.label, node.depth + 1)
-                ctx.stage(BlockNode([key], [None] * (ctx.alpha + 1), parent, depth,
-                                    fanout_bound(1, tree.params), key))
-                ctx.commit_site()
-                ctx.cases.append(CASE_LIST_NEW_BLOCK)
-                if tree.root is None:
-                    tree.root = key
-                break
-            node = ctx.read(cur)
-            if op == "insert" and key in node.keys:
-                raise DuplicateKeyError(f"key {key} already present")
-            step = _classify(tree, node, n_sub, key, pi_x, op)
-            if step is None:
-                slot, child, lo, hi = _follow(node, tree.prio, key, lo, hi)
-                ctx.path.append((node.label, slot))
-                cur, n_sub = (None, 0) if child is None else (child.label, child.weight)
-                continue
-            case, new_arr, adds, removes, key_below = step
-            ctx.cases.append(case)
-            if case in (CASE_LIST_INSERT, CASE_LIST_DELETE):
-                (_list_insert if op == "insert" else _list_delete)(ctx, node, key)
-                break
-            if key_below is not None and not ctx.freed:
-                # a fan-out anchor commits before the descent below it could
-                # refuse the key, so the first one settles membership by search
-                _check_membership(tree, key, op)
-            cont = _run_anchor(ctx, node, lo, hi, n_sub + delta, new_arr,
-                               adds, removes, key_below, op)
-            if cont is None:
-                break
-            slot, ref, lo, hi = cont
+    before = tree.store.stats()
+    ctx = _Ctx(tree)
+    delta = 1 if op == "insert" else -1
+    pi_x = tree.prio.priority(key) if op == "insert" else None
+    cur, n_sub, lo, hi = tree.root, tree.n, NEG_INF, POS_INF
+    while True:
+        if cur is None:
+            # the tree is empty, or the key's slot below the last block passed is
+            if op == "delete":
+                raise MissingKeyError(f"key {key} not present")
+            parent, depth = (None, 0) if tree.root is None else (node.label, node.depth + 1)
+            ctx.stage(BlockNode([key], [None] * (ctx.alpha + 1), parent, depth,
+                                fanout_bound(1, tree.params), key))
+            ctx.cases.append(CASE_LIST_NEW_BLOCK)
+            break
+        node = ctx.read(cur)
+        if op == "insert" and key in node.keys:
+            raise DuplicateKeyError(f"key {key} already present")
+        step = _classify(tree, node, n_sub, key, pi_x, op)
+        if step is None:
+            slot, child, lo, hi = _follow(node, tree.prio, key, lo, hi)
             ctx.path.append((node.label, slot))
-            cur, n_sub = ref.label, ref.weight
-        _apply_path_fixes(ctx, key, delta)
-        tree.root = ctx.relabels.get(tree.root, tree.root)
-        tree.n += delta
-        return ctx.receipt(op, key, before)
-    except BaseException:
-        tree.store.aux.clear()
-        raise
+            cur, n_sub = (None, 0) if child is None else (child.label, child.weight)
+            continue
+        case, new_arr, adds, removes, key_below = step
+        ctx.cases.append(case)
+        if case in (CASE_LIST_INSERT, CASE_LIST_DELETE):
+            (_list_insert if op == "insert" else _list_delete)(ctx, node, key)
+            break
+        cont = _run_anchor(ctx, node, lo, hi, n_sub + delta, new_arr,
+                           adds, removes, key_below, op)
+        if cont is None:
+            break
+        slot, ref, lo, hi = cont
+        ctx.path.append((node.label, slot))
+        cur, n_sub = ref.label, ref.weight
+    ctx.commit()
+    _apply_path_fixes(ctx, key, delta)
+    tree.root = key if tree.root is None else ctx.relabels.get(tree.root, tree.root)
+    tree.n += delta
+    return ctx.receipt(op, key, before)
 
 
 def insert(tree: Tree, key: int) -> UpdateReceipt:

@@ -82,14 +82,14 @@ EXPECTED_U4 = {
         "insert": [
             "0 2 1 0",
             "1 4 2 1",
-            "19/3 6 3 2",
-            "49/8 25/4 11/4 7/4",
+            "5 6 3 2",
+            "43/8 25/4 11/4 7/4",
         ],
         "delete": [
             "1 0 0 1",
             "5/2 3/2 1/2 3/2",
-            "49/9 38/9 16/9 25/9",
-            "167/24 101/24 37/24 61/24",
+            "11/3 38/9 16/9 25/9",
+            "145/24 101/24 37/24 61/24",
         ],
     },
     (1, 2): {
@@ -97,13 +97,13 @@ EXPECTED_U4 = {
             "0 2 1 0",
             "1 4 2 1",
             "8/3 16/3 7/3 4/3",
-            "45/4 8 4 3",
+            "9 8 4 3",
         ],
         "delete": [
             "1 0 0 1",
             "5/2 3/2 1/2 3/2",
             "4 3 1 2",
-            "29/4 6 21/8 29/8",
+            "19/4 6 21/8 29/8",
         ],
     },
     (2, 0): {
@@ -125,13 +125,13 @@ EXPECTED_U4 = {
             "0 2 1 0",
             "1 2 1 1",
             "1 4 2 1",
-            "6 14/3 7/3 2",
+            "5 14/3 7/3 2",
         ],
         "delete": [
             "1 0 0 1",
             "1 2 1 1",
             "7/3 5/3 2/3 5/3",
-            "11/3 13/3 2 7/3",
+            "8/3 13/3 2 7/3",
         ],
     },
     (2, 2): {

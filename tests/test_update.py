@@ -110,16 +110,18 @@ def _refusal_sizes(alpha: int, rho: int) -> list[int]:
 @pytest.mark.parametrize("alpha,rho", [(a, r) for a in (1, 2, 3) for r in (0, 1, 3, 64)])
 def test_refused_update_leaves_store_untouched(alpha, rho, monkeypatch):
     # a duplicate insert and a delete of a gap key are refused before any
-    # write, whichever case the descent meets on the way; some refusals pass
-    # a fan-out anchor that would commit and descend further
-    prechecked = []
-    check_membership = upd._check_membership
+    # write, whichever case the descent meets on the way; some refusals reach
+    # a fan-out anchor with the key still to land below it, in a section
+    # that the anchor reuses and descends into or rebuilds
+    landed = []
+    run_anchor = upd._run_anchor
 
-    def watched(tree, key, op):
-        prechecked.append(op)
-        return check_membership(tree, key, op)
+    def watched(ctx, node, lo, hi, n_new, new_arr, adds, removes, key_below, op):
+        if key_below is not None:
+            landed.append(op)
+        return run_anchor(ctx, node, lo, hi, n_new, new_arr, adds, removes, key_below, op)
 
-    monkeypatch.setattr(upd, "_check_membership", watched)
+    monkeypatch.setattr(upd, "_run_anchor", watched)
     params = Params(alpha, rho)
     for n in _refusal_sizes(alpha, rho):
         keys = sorted(random.Random(n).sample(range(2, 1 << 20, 2), n))
@@ -138,7 +140,55 @@ def test_refused_update_leaves_store_untouched(alpha, rho, monkeypatch):
             assert (after.writes, after.allocs, after.frees) == (
                 before.writes, before.allocs, before.frees)
     if rho:
-        assert {"insert", "delete"} <= set(prechecked)
+        assert {"insert", "delete"} <= set(landed)
+
+
+def test_an_update_commits_once(monkeypatch):
+    # churn over the buffered GRID cells meets all eight cases; every update
+    # that succeeds promotes what it staged and frees what it replaced in one
+    # commit, however many anchors it rebuilds, and a refused one in none
+    commits = []
+    commit_rebuild = BlockStore.commit_rebuild
+
+    def watched(store, obsolete):
+        commits.append(len(obsolete))
+        return commit_rebuild(store, obsolete)
+
+    monkeypatch.setattr(BlockStore, "commit_rebuild", watched)
+    all_cases = {v for name, v in vars(upd).items() if name.startswith("CASE_")}
+    cases, anchors = set(), []
+    for alpha, rho in [(a, r) for a, r in GRID if r]:
+        rng = random.Random(alpha * 10 + rho)
+        tree = Tree.empty(Params(alpha, rho), seed=alpha + rho)
+        present = []
+        for _ in range(150):
+            if present and rng.random() < 0.45:
+                op, key = delete, present.pop(rng.randrange(len(present)))
+            else:
+                op, key = insert, rng.randrange(1 << 20)
+                if key in present:
+                    continue
+                present.append(key)
+            del commits[:]
+            r = op(tree, key)
+            assert len(commits) == 1, (alpha, rho, op, key, r.cases)
+            cases.update(r.cases)
+            anchors.append(len(r.cases))
+            refusals = [(delete, (1 << 20) + rng.randrange(1 << 20), MissingKeyError)]
+            if present:
+                refusals.append((insert, rng.choice(present), DuplicateKeyError))
+            for refuse, key, err in refusals:
+                del commits[:]
+                before = tree.store.stats()
+                with pytest.raises(err):
+                    refuse(tree, key)
+                after = tree.store.stats()
+                assert not commits and not tree.store.aux, (alpha, rho, refuse, key)
+                assert (after.writes, after.allocs, after.frees) == (
+                    before.writes, before.allocs, before.frees)
+        assert tree.image() == oracle_build(present, tree.prio, tree.params)
+    assert cases == all_cases
+    assert max(anchors) >= 2
 
 
 def test_updates_never_peek(monkeypatch):
@@ -242,7 +292,8 @@ def _watch_anchors(monkeypatch):
         cont = run_anchor(ctx, node, lo, hi, n_new, new_arr, *args)
         seen[-1]["descends"] = cont is not None
         if seen[-1]["case"] == CASE_IN_ARRAY_DELETE and new_arr:
-            anchor = ctx.store.peek(min(new_arr, key=ctx.prio.priority))
+            label = min(new_arr, key=ctx.prio.priority)
+            anchor = next(b for b in ctx.staged if b.label == label)
             bounds = [lo] + active_separators(anchor, ctx.prio) + [hi]
             got = {(a, b) for a, b, _ in seen[-1]["sections"]}
             assert got <= set(zip(bounds, bounds[1:])), seen[-1]
@@ -308,7 +359,7 @@ def test_top_against_flat_scan(case):
     want = sorted((k for k in keys + include if lo < k < hi and k not in exclude),
                   key=prio.priority)
     assert got == want
-    assert tree.store.stats().reads == len(ctx._site_obsolete) >= 1
+    assert tree.store.stats().reads == len(ctx.freed) >= 1
 
 
 def _image_diff(before: bytes, after: bytes):
@@ -541,7 +592,7 @@ def test_rebuild_reads_each_block_once(alpha, rho, monkeypatch):
         try:
             return build_fresh(ctx, *args)
         finally:
-            calls.append((reads, set(ctx._site_obsolete)))
+            calls.append((reads, set(ctx.freed)))
             reads = None
 
     monkeypatch.setattr(BlockStore, "read", read)
@@ -566,10 +617,10 @@ def test_rebuild_reads_each_block_once(alpha, rho, monkeypatch):
 
 
 def test_update_that_raises_leaves_nothing_staged():
-    # a tree whose deepest leaf is gone from the store: an insert that stages
-    # blocks and then reads the missing label raises NotFoundError, and what it
-    # staged must not reach the next update's commit, which would promote it
-    # or refuse it with CorruptionError
+    # a tree whose deepest leaf is gone from the store: an insert that reads
+    # the missing label raises NotFoundError before its commit, so it allocates
+    # nothing, and what it kept must not reach the next update's commit, which
+    # would promote it or refuse it with CorruptionError
     rng = random.Random(0)
     tree = Tree.empty(Params(4, 2), seed=0)
     for k in rng.sample(range(1 << 20), 400):
@@ -585,7 +636,7 @@ def test_update_that_raises_leaves_nothing_staged():
             after = tree.store.stats()
             raised.append(after.allocs - before.allocs)
             assert not tree.store.aux and after.cur_pinned == 0
-    assert raised[0] > 0 and len(raised) > 1
+    assert set(raised) == {0} and len(raised) > 1
 
 
 @pytest.mark.parametrize("fault", ["duplicate", "missing", "dangling", "fanout"])
